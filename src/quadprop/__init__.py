@@ -23,6 +23,7 @@ from .symplectic import (
     abcd_from_generator,
     abcd_from_sr,
     compose,
+    compose_schedule,
     invert,
     load_schedule,
     matrix_exp_oracle,
@@ -82,6 +83,7 @@ __all__ = [
     "classical_map_from_w",
     "compose",
     "compose_kernels",
+    "compose_schedule",
     "convolve",
     "fock_unitary_direct",
     "fock_unitary_ordered",

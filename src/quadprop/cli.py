@@ -9,7 +9,6 @@ failure, 2 parse error, 3 focal point, 4 boundary leak.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -19,10 +18,9 @@ from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .oracle import Grid, grid_evolve
 from .propagator import GaussianWavepacket, convolve, kernel_from_abcd
 from .symplectic import (
-    AbcdMatrix,
     ScheduleError,
     abcd_from_generator,
-    compose,
+    compose_schedule,
     load_schedule,
     sr_from_abcd,
 )
@@ -143,9 +141,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     if schedule:
         grid = grid_evolve(schedule, grid0, steps=cfg.steps)
-        total = functools.reduce(lambda acc, g: compose(abcd_from_generator(g), acc),
-                                 schedule, AbcdMatrix.identity())
-        state = convolve(kernel_from_abcd(total), packet)
+        state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
         kernel_route = state.evaluate(grid.x)
     else:
         # Nothing to apply: both routes are the initial packet itself.
@@ -178,8 +174,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def cmd_compose(cfg: RunConfig) -> int:
     schedule = load_schedule(cfg.schedule_path)
-    total = functools.reduce(lambda acc, g: compose(abcd_from_generator(g), acc),
-                             schedule, AbcdMatrix.identity())
+    total = compose_schedule(schedule)
     f = sr_from_abcd(total)
     res = total.det() - 1.0
     if cfg.out_format == "json":

@@ -25,6 +25,7 @@ __all__ = [
     "abcd_from_sr",
     "sr_from_abcd",
     "compose",
+    "compose_schedule",
     "invert",
     "load_schedule",
 ]
@@ -152,6 +153,14 @@ def compose(m2: AbcdMatrix, m1: AbcdMatrix) -> AbcdMatrix:
         scale = 1.0 / np.sqrt(out.det())
         return AbcdMatrix(out.a * scale, out.b * scale, out.c * scale, out.d * scale)
     raise ValueError(f"composition drifted off the symplectic group: |det-1| = {drift:.3e}")
+
+
+def compose_schedule(schedule) -> AbcdMatrix:
+    """ABCD matrix of a whole schedule, steps applied in list order."""
+    total = AbcdMatrix.identity()
+    for g in schedule:
+        total = compose(abcd_from_generator(g), total)
+    return total
 
 
 def invert(m: AbcdMatrix) -> AbcdMatrix:

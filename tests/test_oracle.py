@@ -1,10 +1,14 @@
 """Unit tests for the truncated-Fock and Crank-Nicolson grid oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadprop
 from quadprop.errors import BoundaryLeakError
 from quadprop.lie_core import QuadraticGenerator
 from quadprop.oracle import (
@@ -12,6 +16,7 @@ from quadprop.oracle import (
     Grid,
     fock_unitary_direct,
     fock_unitary_ordered,
+    _hamiltonian_bands,
     grid_evolve,
 )
 from quadprop.propagator import (
@@ -139,6 +144,38 @@ class TestGridEvolve:
         with pytest.raises(BoundaryLeakError):
             grid_evolve([named_generator("free", 1.0, 0.0, 1.0)], narrow, steps=500)
 
+    def test_matches_banded_solve_per_substep(self):
+        # reference: every sub-step solves the Cayley system afresh
+        from scipy.linalg import solve_banded
+
+        schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
+        steps = 100
+        ds = 1.0 / steps
+        psi = grid.amplitudes.copy()
+        for g in schedule:
+            diag, upper = _hamiltonian_bands(g, grid.x, grid.spacing)
+            lower = upper.conjugate()
+            ab = np.zeros((3, psi.size), dtype=complex)
+            ab[0, 1:] = 0.5j * ds * upper
+            ab[1, :] = 1.0 + 0.5j * ds * diag
+            ab[2, :-1] = 0.5j * ds * lower
+            for _ in range(steps):
+                rhs = (1.0 - 0.5j * ds * diag) * psi
+                rhs[:-1] -= 0.5j * ds * upper * psi[1:]
+                rhs[1:] -= 0.5j * ds * lower * psi[:-1]
+                psi = solve_banded((1, 1), ab, rhs)
+        out = grid_evolve(schedule, grid, steps=steps)
+        assert np.abs(out.amplitudes - psi).max() <= 1e-14
+
+    def test_nan_amplitude_rejected(self):
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
+        amplitudes = grid.amplitudes.copy()
+        amplitudes[200] = np.nan
+        bad = Grid(grid.x_min, grid.x_max, grid.n_points, grid.dt, amplitudes)
+        with pytest.raises(ValueError):
+            grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], bad, steps=10)
+
     def test_schedule_composition_matches_single_step(self):
         # two half-time free entries equal one full-time entry
         packet = GaussianWavepacket(0.0, 1.0, 1.0)
@@ -165,3 +202,15 @@ def test_end_to_end_grid_vs_convolution():
             diff = evolved.amplitudes - state.evaluate(evolved.x)
             worst = max(worst, float(np.sqrt(np.sum(np.abs(diff) ** 2) * evolved.spacing)))
     assert worst < 1e-3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads only when an oracle runs, so CLI start-up does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadprop.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, quadprop.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -33,6 +33,8 @@ EXIT_PARSE = 2
 EXIT_FOCAL_POINT = 3
 EXIT_BOUNDARY_LEAK = 4
 
+_CSV_BLOCK = 512
+
 
 @dataclass
 class RunConfig:
@@ -45,9 +47,7 @@ class RunConfig:
     check: bool = False
     schedule_path: str | None = None
     packet: GaussianWavepacket | None = None
-    x_min: float = -40.0
-    x_max: float = 40.0
-    n_points: int = 4096
+    grid0: Grid | None = None
     steps: int = 1000
     out_format: str = "text"
     output: str | None = None
@@ -61,6 +61,20 @@ def _fmt(x: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)} {_fmt(z.imag)}"
+
+
+def _csv_rows(*columns) -> list[str]:
+    """One line per index of the equal-length numeric arrays, cells as ``_fmt``.
+
+    Python floats format faster than numpy scalars; converting a block of
+    rows at a time keeps only that block's floats alive.
+    """
+    row = ",".join(["%.12e"] * len(columns))
+    rows = []
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
+        rows += [row % cells for cells in zip(*block)]
+    return rows
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -80,7 +94,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     p = to_su11(g)
     f = normal_order(g)
     m = abcd_from_generator(g)
-    res_u = abs(f.s) ** 2 - abs(f.r) ** 2 - 1.0
+    res_u = f.unitarity_residual()
     res_s = m.det() - 1.0
     if cfg.out_format == "json":
         payload = {
@@ -134,39 +148,23 @@ def cmd_kernel(cfg: RunConfig) -> int:
 def cmd_evolve(cfg: RunConfig) -> int:
     schedule = load_schedule(cfg.schedule_path)
     packet = cfg.packet
-    grid0 = Grid.from_wavepacket(
-        packet, x_min=cfg.x_min, x_max=cfg.x_max, n_points=cfg.n_points,
-        dt=1.0 / cfg.steps,
-    )
 
     if schedule:
-        grid = grid_evolve(schedule, grid0, steps=cfg.steps)
+        grid = grid_evolve(schedule, cfg.grid0, steps=cfg.steps)
         state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
         kernel_route = state.evaluate(grid.x)
     else:
         # Nothing to apply: both routes are the initial packet itself.
-        grid = grid0
+        grid = cfg.grid0
         kernel_route = packet.evaluate(grid.x)
 
-    x = grid.x
     grid_route = grid.amplitudes
     diff = abs(kernel_route - grid_route)
     l2 = float((diff**2).sum() ** 0.5 * grid.spacing**0.5)
 
     rows = ["x,re_kernel_route,im_kernel_route,re_grid_route,im_grid_route,abs_diff"]
-    for i in range(x.size):
-        rows.append(
-            ",".join(
-                (
-                    _fmt(x[i]),
-                    _fmt(kernel_route[i].real),
-                    _fmt(kernel_route[i].imag),
-                    _fmt(grid_route[i].real),
-                    _fmt(grid_route[i].imag),
-                    _fmt(diff[i]),
-                )
-            )
-        )
+    rows += _csv_rows(grid.x, kernel_route.real, kernel_route.imag,
+                      grid_route.real, grid_route.imag, diff)
     rows.append(f"l2_diff,{_fmt(l2)}")
     _emit(cfg, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -280,9 +278,13 @@ def _config_from_args(args) -> RunConfig:
             width=args.width,
             phase=args.packet_phase,
         )
-        cfg.x_min = args.x_min
-        cfg.x_max = args.x_max
-        cfg.n_points = args.n_points
+        if args.steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        # Grid rejects a bad point count or interval here, as a parse error.
+        cfg.grid0 = Grid.from_wavepacket(
+            cfg.packet, x_min=args.x_min, x_max=args.x_max, n_points=args.n_points,
+            dt=1.0 / args.steps,
+        )
         cfg.steps = args.steps
         cfg.out_format = "csv"
     if args.command == "compose":

@@ -73,7 +73,7 @@ def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> com
 
     with the principal branch of sqrt(s); s never vanishes (|s| >= 1).
     """
-    res = abs(f.s) ** 2 - abs(f.r) ** 2 - 1.0
+    res = f.unitarity_residual()
     if abs(res) > _UNITARITY_TOL:
         raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
     a = z1.z.conjugate()

@@ -9,14 +9,18 @@ Two deliberately dumb routes that know nothing about the closed forms:
 * a norm-preserving Crank-Nicolson grid solver for
   i dpsi/ds = (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2) psi,
   one unit of flow parameter per schedule entry, validating kernels and
-  wavepacket convolution end to end.
+  wavepacket convolution end to end. With A = 1 + i ds H/2 each sub-step
+  is psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi. A is factored once per
+  entry as L D U (unit bidiagonal L and U) without pivoting, which is
+  stable because Re A = I puts every pivot at real part >= 1, so a
+  sub-step is two bidiagonal solves and one scaling by 2 D^-1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,8 +131,10 @@ class Grid:
         n = self.n_points
         if n < 512 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 512, got {n}")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
+                and self.x_max > self.x_min):
+            raise ValueError("x_min and x_max must be finite with x_max > x_min, "
+                             f"got {self.x_min!r} and {self.x_max!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -153,9 +159,10 @@ class Grid:
         n_points: int = 4096,
         dt: float = 1e-3,
     ) -> "Grid":
-        x = np.linspace(x_min, x_max, n_points)
-        return cls(x_min=x_min, x_max=x_max, n_points=n_points, dt=dt,
-                   amplitudes=psi.evaluate(x))
+        # validate the axis before sampling the packet on it
+        grid = cls(x_min=x_min, x_max=x_max, n_points=n_points, dt=dt,
+                   amplitudes=np.zeros(n_points, dtype=complex))
+        return replace(grid, amplitudes=psi.evaluate(grid.x))
 
     def norm(self) -> float:
         h = self.spacing
@@ -199,6 +206,31 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
     return diag, upper
 
 
+def _cayley_ldu(diag: np.ndarray, upper: np.ndarray, ds: float):
+    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2.
+
+    H is the Hermitian tridiagonal matrix with real diagonal ``diag`` and
+    superdiagonal ``upper``. Returns the pivots D and the off-diagonals of
+    the unit lower and unit upper bidiagonal factors L and U. Elimination
+    without row exchanges runs d[k+1] = A[k+1, k+1] - A[k+1, k] A[k, k+1] / d[k],
+    the recurrence of LAPACK's zgttrf when it exchanges no rows. Since
+    A[k, k+1] = -conj(A[k+1, k]), the update is + |A[k+1, k]|^2 / d[k], and
+    with Re A[k, k] = 1 the pivots obey
+    Re d[k+1] = 1 + |A[k+1, k]|^2 Re d[k] / |d[k]|^2 >= 1. This is A's
+    Hermitian part being the identity: no pivot can vanish and no
+    multiplier exceeds the entry of A it comes from, so no row exchange
+    is needed.
+    """
+    pivots = (1.0 + 0.5j * ds * diag).tolist()
+    sub = 0.5j * ds * upper.conjugate()
+    sup = 0.5j * ds * upper
+    d = pivots[0]
+    for k, sub_k in enumerate(sub.tolist(), 1):
+        d = pivots[k] = pivots[k] + sub_k / d * sub_k.conjugate()
+    pivots = np.array(pivots)
+    return pivots, sub / pivots[:-1], sup / pivots[:-1]
+
+
 def grid_evolve(
     g_schedule,
     psi0: Grid,
@@ -207,16 +239,22 @@ def grid_evolve(
     """Crank-Nicolson evolution of a grid state through a generator schedule.
 
     Each schedule entry is one unit of flow parameter split into
-    ``steps`` sub-steps (default round(1/psi0.dt)). The Cayley stepping
-    (1 + i ds H/2) psi' = (1 - i ds H/2) psi is exactly unitary for the
-    Hermitian discretization used, so the norm is conserved to solver
-    accuracy. The tridiagonal matrix (1 + i ds H/2) is LU-factored once
-    per schedule entry (LAPACK zgttrf, partial pivoting); each sub-step
-    then only back-substitutes (zgttrs). Raises ValueError on non-finite
-    amplitudes or coefficients, LinAlgError if the matrix is singular,
-    and BoundaryLeakError if edge amplitude exceeds 1e-6.
+    ``steps`` sub-steps (default round(1/psi0.dt)). The Cayley step
+    psi' = A^-1 (1 - i ds H/2) psi with A = 1 + i ds H/2 is exactly
+    unitary for the Hermitian discretization used, so the norm is
+    conserved to solver accuracy. Since 1 - i ds H/2 = 2 - A, the step is
+    psi' = 2 A^-1 psi - psi and needs no matrix-vector product. A is
+    factored once per schedule entry as L D U, unit lower and unit upper
+    bidiagonal L and U, without pivoting: A's Hermitian part is the
+    identity, so every pivot has real part >= 1 (see ``_cayley_ldu``).
+    Each sub-step is then two unit bidiagonal solves (BLAS ztbsv) around
+    a multiplication by the stored 2 D^-1, with no division.
+
+    Raises ValueError on non-finite amplitudes or coefficients,
+    LinAlgError if a pivot is zero or non-finite, and BoundaryLeakError
+    if edge amplitude exceeds 1e-6.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.linalg.blas import ztbsv
 
     if steps is None:
         steps = max(1, round(1.0 / psi0.dt))
@@ -226,27 +264,28 @@ def grid_evolve(
     h = psi0.spacing
     ds = 1.0 / steps
     psi = psi0.amplitudes.copy()
+    # Band storage shared by both solves: row 0 holds U's superdiagonal,
+    # row 1 L's subdiagonal; the unit diagonals are never read (diag=1).
+    # Fortran order, so that ztbsv does not copy it on every call.
+    band = np.zeros((2, psi.size), dtype=complex, order="F")
 
     for g in g_schedule:
         diag, upper = _hamiltonian_bands(g, x, h)
-        lower = upper.conjugate()
         if not (np.isfinite(diag).all() and np.isfinite(upper).all()):
             raise ValueError("Hamiltonian bands must not contain infs or NaNs")
-        dl, d, du, du2, ipiv, info = zgttrf(
-            0.5j * ds * lower, 1.0 + 0.5j * ds * diag, 0.5j * ds * upper
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
-        b_diag = 1.0 - 0.5j * ds * diag
-        b_upper = -0.5j * ds * upper
-        b_lower = -0.5j * ds * lower
+        pivots, lower_mult, upper_mult = _cayley_ldu(diag, upper, ds)
+        if not (np.isfinite(pivots).all() and pivots.all()):
+            raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
+        band[1, :-1] = lower_mult
+        band[0, 1:] = upper_mult
+        two_over_pivots = 2.0 / pivots
         for _ in range(steps):
-            rhs = b_diag * psi
-            rhs[:-1] += b_upper * psi[1:]
-            rhs[1:] += b_lower * psi[:-1]
-            if not np.isfinite(rhs).all():
+            if not np.isfinite(psi).all():
                 raise ValueError("grid amplitudes must not contain infs or NaNs")
-            psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+            y = ztbsv(1, band, psi, lower=1, diag=1)
+            y *= two_over_pivots
+            y = ztbsv(1, band, y, diag=1, overwrite_x=1)
+            psi = np.subtract(y, psi, out=y)
             edge = max(abs(psi[0]), abs(psi[-1]))
             if edge > _EDGE_AMPLITUDE_LIMIT:
                 raise BoundaryLeakError(

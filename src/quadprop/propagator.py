@@ -201,7 +201,7 @@ def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:
 
     Raises FocalPointError when |E| < 1e-12 (B = 0 caustic).
     """
-    res = abs(f.s) ** 2 - abs(f.r) ** 2 - 1.0
+    res = f.unitarity_residual()
     if abs(res) > _UNITARITY_TOL:
         raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
     e = f.s - f.s.conjugate() - f.r + f.r.conjugate()

@@ -108,7 +108,7 @@ def abcd_from_sr(f: NormalOrderFactors) -> AbcdMatrix:
     A = Re s - Re r, B = Im s - Im r, C = -(Im s + Im r), D = Re s + Re r.
     Rejects factors violating |s|^2 - |r|^2 = 1 beyond 1e-8.
     """
-    res = abs(f.s) ** 2 - abs(f.r) ** 2 - 1.0
+    res = f.unitarity_residual()
     if abs(res) > _DICT_TOL:
         raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
     return AbcdMatrix(

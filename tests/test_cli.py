@@ -151,6 +151,30 @@ class TestEvolve:
         code, _, err = _run(capsys, ["evolve", str(tmp_path / "nope.sched")])
         assert code == 2
 
+    @pytest.mark.parametrize("options", [
+        ["--steps", "0"],
+        ["--steps", "-5"],
+        ["--n-points", "1000"],
+        ["--x-min", "5", "--x-max", "-5"],
+        ["--x-min=-inf"],
+    ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
+            "infinite-interval"])
+    def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
+        sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
+        code, out, err = _run(capsys, ["evolve", sched, *options])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_csv_rows_match_per_cell_format(self):
+        # more rows than one formatting block, and not a multiple of it
+        values = np.tile([0.0, -0.0, 1.0, -2.5e12, math.pi, 1e-300, 5e-324, 1e300,
+                          123456789.123456789, -7.25e-8], 110) * np.linspace(1.0, 2.0, 1100)
+        z = values + 1j * values[::-1]
+        columns = (values, z.real, z.imag, values[::-1], -values, abs(z))
+        per_cell = [",".join(cli._fmt(c[i]) for c in columns) for i in range(values.size)]
+        assert cli._csv_rows(*columns) == per_cell
+
     def test_byte_identical_reruns(self, tmp_path):
         sched = self._write(tmp_path, "free.sched", "0.5 0.0 0.0\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

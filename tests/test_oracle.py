@@ -16,6 +16,7 @@ from quadprop.oracle import (
     Grid,
     fock_unitary_direct,
     fock_unitary_ordered,
+    _cayley_ldu,
     _hamiltonian_bands,
     grid_evolve,
 )
@@ -27,6 +28,27 @@ from quadprop.propagator import (
 )
 from quadprop.symplectic import abcd_from_generator
 from quadprop.verify import random_generators
+
+
+def _banded_reference(schedule, grid, steps):
+    """Cayley stepping that solves the banded system afresh on every sub-step."""
+    from scipy.linalg import solve_banded
+
+    ds = 1.0 / steps
+    psi = grid.amplitudes.copy()
+    for g in schedule:
+        diag, upper = _hamiltonian_bands(g, grid.x, grid.spacing)
+        lower = upper.conjugate()
+        ab = np.zeros((3, psi.size), dtype=complex)
+        ab[0, 1:] = 0.5j * ds * upper
+        ab[1, :] = 1.0 + 0.5j * ds * diag
+        ab[2, :-1] = 0.5j * ds * lower
+        for _ in range(steps):
+            rhs = (1.0 - 0.5j * ds * diag) * psi
+            rhs[:-1] -= 0.5j * ds * upper * psi[1:]
+            rhs[1:] -= 0.5j * ds * lower * psi[:-1]
+            psi = solve_banded((1, 1), ab, rhs)
+    return psi
 
 
 class TestFockTruncation:
@@ -145,28 +167,34 @@ class TestGridEvolve:
             grid_evolve([named_generator("free", 1.0, 0.0, 1.0)], narrow, steps=500)
 
     def test_matches_banded_solve_per_substep(self):
-        # reference: every sub-step solves the Cayley system afresh
-        from scipy.linalg import solve_banded
-
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
-        steps = 100
-        ds = 1.0 / steps
-        psi = grid.amplitudes.copy()
-        for g in schedule:
-            diag, upper = _hamiltonian_bands(g, grid.x, grid.spacing)
-            lower = upper.conjugate()
-            ab = np.zeros((3, psi.size), dtype=complex)
-            ab[0, 1:] = 0.5j * ds * upper
-            ab[1, :] = 1.0 + 0.5j * ds * diag
-            ab[2, :-1] = 0.5j * ds * lower
-            for _ in range(steps):
-                rhs = (1.0 - 0.5j * ds * diag) * psi
-                rhs[:-1] -= 0.5j * ds * upper * psi[1:]
-                rhs[1:] -= 0.5j * ds * lower * psi[:-1]
-                psi = solve_banded((1, 1), ab, rhs)
-        out = grid_evolve(schedule, grid, steps=steps)
-        assert np.abs(out.amplitudes - psi).max() <= 1e-14
+        out = grid_evolve(schedule, grid, steps=100)
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 100)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "g, n_points",
+        [((0.0, 0.5, 0.0), 512), ((3.0, 0.0, 0.0), 4096)],
+        ids=["pure-squeeze", "stiff-free"],
+    )
+    def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points):
+        # the squeeze's edge off-diagonals exceed its unit diagonal, where a
+        # partial-pivoting LU (zgttrf) exchanges rows; the free particle has
+        # ds H/2 of about 400
+        schedule = [QuadraticGenerator(*g)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=n_points)
+        out = grid_evolve(schedule, grid, steps=10)
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 10)).max() <= 1e-12
+
+    def test_cayley_pivots_have_real_part_at_least_one(self):
+        rng = np.random.default_rng(5)
+        for g in random_generators(rng, 100, scale=3.0):
+            n = int(rng.choice([512, 1024, 4096]))
+            steps = int(rng.choice([1, 10, 100, 1000]))
+            x = np.linspace(-40.0, 40.0, n)
+            diag, upper = _hamiltonian_bands(g, x, x[1] - x[0])
+            pivots, _, _ = _cayley_ldu(diag, upper, 1.0 / steps)
+            assert pivots.real.min() >= 1.0
 
     def test_nan_amplitude_rejected(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)

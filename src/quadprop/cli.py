@@ -3,15 +3,16 @@
 Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
-failure, 2 parse error, 3 focal point, 4 boundary leak.
+failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
+(an invariant guard or a non-finite JSON value).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .errors import BoundaryLeakError, FocalPointError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
@@ -32,27 +33,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_FOCAL_POINT = 3
 EXIT_BOUNDARY_LEAK = 4
+EXIT_PRECISION = 5
 
 _CSV_BLOCK = 512
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its inputs and output routing."""
-
-    command: str
-    generator: QuadraticGenerator | None = None
-    q: float = 0.0
-    big_q: float = 0.0
-    check: bool = False
-    schedule_path: str | None = None
-    packet: GaussianWavepacket | None = None
-    grid0: Grid | None = None
-    steps: int = 1000
-    out_format: str = "text"
-    output: str | None = None
-    inject_fault: bool = False
-    lines: list[str] = field(default_factory=list, repr=False)
 
 
 def _fmt(x: float) -> str:
@@ -63,40 +46,40 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)} {_fmt(z.imag)}"
 
 
-def _csv_rows(*columns) -> list[str]:
-    """One line per index of the equal-length numeric arrays, cells as ``_fmt``.
+def _csv_blocks(*columns):
+    """CSV text of equal-length numeric arrays, ``_CSV_BLOCK`` rows per chunk.
 
-    Python floats format faster than numpy scalars; converting a block of
-    rows at a time keeps only that block's floats alive.
+    One newline-ended line per index, cells as ``_fmt``. Python floats
+    format faster than numpy scalars; converting a block of rows at a time
+    keeps only that block's floats and text alive.
     """
-    row = ",".join(["%.12e"] * len(columns))
-    rows = []
+    row = ",".join(["%.12e"] * len(columns)) + "\n"
     for lo in range(0, len(columns[0]), _CSV_BLOCK):
         block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
-        rows += [row % cells for cells in zip(*block)]
-    return rows
+        yield "".join([row % cells for cells in zip(*block)])
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(args, chunks) -> None:
+    """Write the text chunks, in order, to ``--output`` or to stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    g = cfg.generator
+def cmd_decompose(args) -> int:
+    g = args.generator
     p = to_su11(g)
     f = normal_order(g)
     m = abcd_from_generator(g)
     res_u = f.unitarity_residual()
     res_s = m.det() - 1.0
-    if cfg.out_format == "json":
+    if args.json:
         payload = {
             "tau": {"re": p.tau.real, "im": p.tau.imag},
             "sigma": p.sigma,
@@ -107,7 +90,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
             "residual_unitarity": res_u,
             "residual_symplectic": res_s,
         }
-        _emit(cfg, _json_dump(payload))
+        _emit(args, [_json_dump(payload)])
     else:
         lines = [
             f"tau                 = {_fmt_complex(p.tau)}",
@@ -122,60 +105,61 @@ def cmd_decompose(cfg: RunConfig) -> int:
             f"residual_unitarity  = {_fmt(res_u)}",
             f"residual_symplectic = {_fmt(res_s)}",
         ]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    g = cfg.generator
-    value = kernel_from_abcd(abcd_from_generator(g)).evaluate(cfg.q, cfg.big_q)
+def cmd_kernel(args) -> int:
+    g = args.generator
+    value = kernel_from_abcd(abcd_from_generator(g)).evaluate(args.q, args.Q)
     diff = None
-    if cfg.check:
-        diff = abs(value - kernel_via_iwop(g, cfg.q, cfg.big_q))
-    if cfg.out_format == "json":
+    if args.check:
+        diff = abs(value - kernel_via_iwop(g, args.q, args.Q))
+    if args.json:
         payload = {"re": value.real, "im": value.imag}
         if diff is not None:
             payload["check_diff"] = diff
-        _emit(cfg, _json_dump(payload))
+        _emit(args, [_json_dump(payload)])
     else:
         lines = [_fmt_complex(value)]
         if diff is not None:
             lines.append(f"check_diff = {_fmt(diff)}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    schedule = load_schedule(cfg.schedule_path)
-    packet = cfg.packet
+def cmd_evolve(args) -> int:
+    schedule = load_schedule(args.schedule)
+    packet = args.packet
 
     if schedule:
-        grid = grid_evolve(schedule, cfg.grid0, steps=cfg.steps)
+        grid = grid_evolve(schedule, args.grid0, steps=args.steps)
         state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
         kernel_route = state.evaluate(grid.x)
     else:
         # Nothing to apply: both routes are the initial packet itself.
-        grid = cfg.grid0
+        grid = args.grid0
         kernel_route = packet.evaluate(grid.x)
 
     grid_route = grid.amplitudes
     diff = abs(kernel_route - grid_route)
     l2 = float((diff**2).sum() ** 0.5 * grid.spacing**0.5)
 
-    rows = ["x,re_kernel_route,im_kernel_route,re_grid_route,im_grid_route,abs_diff"]
-    rows += _csv_rows(grid.x, kernel_route.real, kernel_route.imag,
-                      grid_route.real, grid_route.imag, diff)
-    rows.append(f"l2_diff,{_fmt(l2)}")
-    _emit(cfg, "\n".join(rows) + "\n")
+    _emit(args, itertools.chain(
+        ["x,re_kernel_route,im_kernel_route,re_grid_route,im_grid_route,abs_diff\n"],
+        _csv_blocks(grid.x, kernel_route.real, kernel_route.imag,
+                    grid_route.real, grid_route.imag, diff),
+        [f"l2_diff,{_fmt(l2)}\n"],
+    ))
     return EXIT_OK
 
 
-def cmd_compose(cfg: RunConfig) -> int:
-    schedule = load_schedule(cfg.schedule_path)
+def cmd_compose(args) -> int:
+    schedule = load_schedule(args.schedule)
     total = compose_schedule(schedule)
     f = sr_from_abcd(total)
     res = total.det() - 1.0
-    if cfg.out_format == "json":
+    if args.json:
         payload = {
             "abcd": {"a": total.a, "b": total.b, "c": total.c, "d": total.d},
             "s": {"re": f.s.real, "im": f.s.imag},
@@ -183,7 +167,7 @@ def cmd_compose(cfg: RunConfig) -> int:
             "residual_symplectic": res,
             "steps": len(schedule),
         }
-        _emit(cfg, _json_dump(payload))
+        _emit(args, [_json_dump(payload)])
     else:
         lines = [
             f"steps               = {len(schedule)}",
@@ -195,13 +179,13 @@ def cmd_compose(cfg: RunConfig) -> int:
             f"r                   = {_fmt_complex(f.r)}",
             f"residual_symplectic = {_fmt(res)}",
         ]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    summary = run_all(inject_fault=cfg.inject_fault)
-    _emit(cfg, _json_dump(summary))
+def cmd_verify(args) -> int:
+    summary = run_all(inject_fault=args.inject_fault)
+    _emit(args, [_json_dump(summary)])
     return EXIT_OK if summary["pass"] else EXIT_VERIFY_FAILED
 
 
@@ -260,19 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.output = getattr(args, "output", None)
+def _prepare(args) -> None:
+    """Validate what argparse cannot and store the built inputs on ``args``.
+
+    Raises ValueError for a bad generator, packet, grid or ``--steps``.
+    """
     if args.command in ("decompose", "kernel"):
-        cfg.generator = QuadraticGenerator(args.alpha, args.beta, args.gamma)
-        cfg.out_format = "json" if args.json else "text"
-    if args.command == "kernel":
-        cfg.q = args.q
-        cfg.big_q = args.Q
-        cfg.check = args.check
+        args.generator = QuadraticGenerator(args.alpha, args.beta, args.gamma)
     if args.command == "evolve":
-        cfg.schedule_path = args.schedule
-        cfg.packet = GaussianWavepacket(
+        args.packet = GaussianWavepacket(
             center_q=args.center_q,
             center_p=args.center_p,
             width=args.width,
@@ -280,20 +260,10 @@ def _config_from_args(args) -> RunConfig:
         )
         if args.steps < 1:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
-        # Grid rejects a bad point count or interval here, as a parse error.
-        cfg.grid0 = Grid.from_wavepacket(
-            cfg.packet, x_min=args.x_min, x_max=args.x_max, n_points=args.n_points,
+        args.grid0 = Grid.from_wavepacket(
+            args.packet, x_min=args.x_min, x_max=args.x_max, n_points=args.n_points,
             dt=1.0 / args.steps,
         )
-        cfg.steps = args.steps
-        cfg.out_format = "csv"
-    if args.command == "compose":
-        cfg.schedule_path = args.schedule
-        cfg.out_format = "json" if args.json else "text"
-    if args.command == "verify":
-        cfg.inject_fault = args.inject_fault
-        cfg.out_format = "json"
-    return cfg
 
 
 _DISPATCH = {
@@ -306,15 +276,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _prepare(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ScheduleError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -324,6 +293,10 @@ def main(argv=None) -> int:
     except BoundaryLeakError as exc:
         print(f"boundary leak: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY_LEAK
+    except ValueError as exc:
+        # digits lost: an invariant guard, composition drift, a non-finite JSON value
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
 
 
 def run() -> None:

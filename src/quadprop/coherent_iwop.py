@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FocalPointError, NonConvergentError
+from .errors import FOCAL_TOL, FocalPointError, NonConvergentError
 from .lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
 from .symplectic import abcd_from_generator
 
@@ -33,9 +33,6 @@ __all__ = [
     "gaussian_integral",
     "kernel_via_iwop",
 ]
-
-_UNITARITY_TOL = 1e-8
-_FOCAL_TOL = 1e-12
 
 _PI_QUARTER = np.pi ** (-0.25)
 
@@ -73,9 +70,7 @@ def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> com
 
     with the principal branch of sqrt(s); s never vanishes (|s| >= 1).
     """
-    res = f.unitarity_residual()
-    if abs(res) > _UNITARITY_TOL:
-        raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
+    f.require_unitary()
     a = z1.z.conjugate()
     b = z2.z
     expo = (
@@ -169,7 +164,7 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     is nonsingular.
     """
     m_abcd = abcd_from_generator(g)
-    if abs(m_abcd.b) < _FOCAL_TOL:
+    if abs(m_abcd.b) < FOCAL_TOL:
         raise FocalPointError(
             "focal point: B=0, kernel degenerates to a delta function", matrix=m_abcd
         )

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+# A focal check takes its B-like quantity (|B|, or |2B| on the (s, r) route)
+# below this as B = 0, the caustic where a kernel is a delta function.
+FOCAL_TOL = 1e-12
+
 
 class FocalPointError(ValueError):
     """Raised where the propagator kernel degenerates to a delta function (B = 0).

@@ -36,6 +36,10 @@ _SERIES_CUTOFF = 1e-4
 
 _LD = np.longdouble
 
+# Largest |s|^2 - |r|^2 - 1 (and AD - BC - 1 of an ABCD matrix) accepted as
+# a unitary (symplectic) map by the dictionaries and the kernel builders.
+INVARIANT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuadraticGenerator:
@@ -95,6 +99,12 @@ class NormalOrderFactors:
     def unitarity_residual(self) -> float:
         """|s|^2 - |r|^2 - 1, which is zero for factors of a unitary."""
         return abs(self.s) ** 2 - abs(self.r) ** 2 - 1.0
+
+    def require_unitary(self) -> None:
+        """Raise ValueError when |s|^2 - |r|^2 - 1 exceeds INVARIANT_TOL."""
+        res = self.unitarity_residual()
+        if abs(res) > INVARIANT_TOL:
+            raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
 
 
 def to_su11(g: QuadraticGenerator) -> SU11Params:

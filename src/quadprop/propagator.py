@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FocalPointError, NonConvergentError
+from .errors import FOCAL_TOL, FocalPointError, NonConvergentError
 from .lie_core import NormalOrderFactors, QuadraticGenerator
 from .symplectic import AbcdMatrix, abcd_from_sr
 
@@ -44,11 +44,6 @@ __all__ = [
     "compose_kernels",
     "named_generator",
 ]
-
-# Kernel degenerates to a delta function below this |B|.
-_FOCAL_TOL = 1e-12
-_UNITARITY_TOL = 1e-8
-_SYMPLECTIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -201,11 +196,9 @@ def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:
 
     Raises FocalPointError when |E| < 1e-12 (B = 0 caustic).
     """
-    res = f.unitarity_residual()
-    if abs(res) > _UNITARITY_TOL:
-        raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
+    f.require_unitary()
     e = f.s - f.s.conjugate() - f.r + f.r.conjugate()
-    if abs(e) < _FOCAL_TOL:
+    if abs(e) < FOCAL_TOL:
         raise FocalPointError(
             "focal point: B=0, kernel degenerates to a delta function",
             matrix=abcd_from_sr(f),
@@ -227,10 +220,8 @@ def kernel_from_abcd(m: AbcdMatrix) -> GaussianKernel:
     for B > 0 and e^{+i pi/4}/sqrt(2 pi |B|) for B < 0. No phase
     tracking across caustics is attempted.
     """
-    res = m.det() - 1.0
-    if abs(res) > _SYMPLECTIC_TOL:
-        raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
-    if abs(m.b) < _FOCAL_TOL:
+    m.require_symplectic()
+    if abs(m.b) < FOCAL_TOL:
         raise FocalPointError(
             "focal point: B=0, kernel degenerates to a delta function", matrix=m
         )
@@ -246,7 +237,7 @@ def kernel_from_abcd(m: AbcdMatrix) -> GaussianKernel:
 
 def generating_function(m: AbcdMatrix) -> GeneratingFunctionW:
     """Classical generating function of the map; raises at focal points."""
-    if abs(m.b) < _FOCAL_TOL:
+    if abs(m.b) < FOCAL_TOL:
         raise FocalPointError(
             "focal point: B=0, generating function undefined", matrix=m
         )
@@ -304,7 +295,7 @@ def compose_kernels(k2: GaussianKernel, k1: GaussianKernel) -> GaussianKernel:
     Raises FocalPointError when the composed map itself is focal.
     """
     a = k1.coef_QQ + k2.coef_qq
-    if abs(a) < _FOCAL_TOL:
+    if abs(a) < FOCAL_TOL:
         raise FocalPointError("focal point: composed kernel degenerates", matrix=None)
     return GaussianKernel(
         prefactor=k1.prefactor * k2.prefactor * cmath.sqrt(np.pi / -a),

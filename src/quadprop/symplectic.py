@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import NormalOrderFactors, QuadraticGenerator, _gc_gs
+from .lie_core import INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _gc_gs
 
 __all__ = [
     "AbcdMatrix",
@@ -32,8 +32,6 @@ __all__ = [
 
 _LD = np.longdouble
 
-# Pre-tolerance for the symplectic / unitarity checks of the dictionaries.
-_DICT_TOL = 1e-8
 # Composition drift policy: below _DRIFT_KEEP leave the product alone, up to
 # _DRIFT_REPAIR renormalize by 1/sqrt(det), beyond that fail loudly.
 _DRIFT_KEEP = 1e-9
@@ -51,6 +49,12 @@ class AbcdMatrix:
 
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
+
+    def require_symplectic(self) -> None:
+        """Raise ValueError when AD - BC - 1 exceeds INVARIANT_TOL."""
+        res = self.det() - 1.0
+        if abs(res) > INVARIANT_TOL:
+            raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
@@ -108,9 +112,7 @@ def abcd_from_sr(f: NormalOrderFactors) -> AbcdMatrix:
     A = Re s - Re r, B = Im s - Im r, C = -(Im s + Im r), D = Re s + Re r.
     Rejects factors violating |s|^2 - |r|^2 = 1 beyond 1e-8.
     """
-    res = f.unitarity_residual()
-    if abs(res) > _DICT_TOL:
-        raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
+    f.require_unitary()
     return AbcdMatrix(
         a=f.s.real - f.r.real,
         b=f.s.imag - f.r.imag,
@@ -125,9 +127,7 @@ def sr_from_abcd(m: AbcdMatrix) -> NormalOrderFactors:
     Exact inverse of ``abcd_from_sr`` (round-trips to 1e-12); rejects
     matrices with determinant off 1 by more than 1e-8.
     """
-    res = m.det() - 1.0
-    if abs(res) > _DICT_TOL:
-        raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
+    m.require_symplectic()
     return NormalOrderFactors(
         s=complex(0.5 * (m.d + m.a), 0.5 * (m.b - m.c)),
         r=complex(0.5 * (m.d - m.a), -0.5 * (m.b + m.c)),

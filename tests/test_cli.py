@@ -1,7 +1,10 @@
 """CLI tests: output contracts, exit codes, and determinism."""
 
+import importlib.util
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,8 +175,10 @@ class TestEvolve:
                           123456789.123456789, -7.25e-8], 110) * np.linspace(1.0, 2.0, 1100)
         z = values + 1j * values[::-1]
         columns = (values, z.real, z.imag, values[::-1], -values, abs(z))
-        per_cell = [",".join(cli._fmt(c[i]) for c in columns) for i in range(values.size)]
-        assert cli._csv_rows(*columns) == per_cell
+        per_cell = [",".join(cli._fmt(c[i]) for c in columns) + "\n" for i in range(values.size)]
+        blocks = list(cli._csv_blocks(*columns))
+        assert len(blocks) == 3
+        assert "".join(blocks) == "".join(per_cell)
 
     def test_byte_identical_reruns(self, tmp_path):
         sched = self._write(tmp_path, "free.sched", "0.5 0.0 0.0\n")
@@ -239,6 +244,38 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--inject-fault"]) == 1
         assert seen["flag"] is True
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, schedule", [
+    (["kernel", "0", "20", "0", "0", "1"], None),
+    (["compose"], "0 20 0\n"),
+    (["decompose", "0", "1000", "0", "--json"], None),
+], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity"])
+def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
+    if schedule is not None:
+        path = tmp_path / "drift.sched"
+        path.write_text(schedule)
+        argv = [*argv, str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_PRECISION == 5
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dispatch_and_traced_names_resolve():
+    # perfbench/tracer.py patches these names by string; a rename must fail here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, attr in tracer.TRACED:
+        obj = importlib.import_module(f"quadprop.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod_name, attr)
+    for command, fn in cli._DISPATCH.items():
+        assert inspect.isfunction(fn) and fn.__name__ == f"cmd_{command}"
+        assert getattr(cli, fn.__name__) is fn
 
 
 def test_no_arguments_is_usage_error():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from quadprop.coherent_iwop import CoherentLabel, sandwich
 from quadprop.errors import FocalPointError, NonConvergentError
 from quadprop.lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
 from quadprop.propagator import (
@@ -20,7 +21,13 @@ from quadprop.propagator import (
     kernel_from_sr,
     named_generator,
 )
-from quadprop.symplectic import AbcdMatrix, abcd_from_generator, compose
+from quadprop.symplectic import (
+    AbcdMatrix,
+    abcd_from_generator,
+    abcd_from_sr,
+    compose,
+    sr_from_abcd,
+)
 from quadprop.verify import random_generators
 
 # Frozen reference: free-particle kernel value K(Q=1, q=0) at m = t = 1,
@@ -373,3 +380,24 @@ def test_dual_form_pointwise_agreement():
         worst = max(worst, float(np.abs(v1 - v2).max()))
         count += 1
     assert worst <= 1e-10
+
+
+NOT_UNITARY = NormalOrderFactors(2.0 + 0j, 0j)
+NOT_SYMPLECTIC = AbcdMatrix(2.0, 1.0, 0.0, 1.0)
+UNITARY_MSG = "factors are not unitary: |s|^2-|r|^2-1 = 3.000e+00"
+SYMPLECTIC_MSG = "matrix is not symplectic: det-1 = 1.000e+00"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: abcd_from_sr(NOT_UNITARY), UNITARY_MSG),
+    (lambda: kernel_from_sr(NOT_UNITARY), UNITARY_MSG),
+    (lambda: sandwich(CoherentLabel(0j), CoherentLabel(0j), NOT_UNITARY), UNITARY_MSG),
+    (lambda: sr_from_abcd(NOT_SYMPLECTIC), SYMPLECTIC_MSG),
+    (lambda: kernel_from_abcd(NOT_SYMPLECTIC), SYMPLECTIC_MSG),
+], ids=["abcd_from_sr", "kernel_from_sr", "sandwich", "sr_from_abcd", "kernel_from_abcd"])
+def test_invariant_guards_raise_plain_value_error(call, message):
+    # The benchmark sorts these failures by exact type and message prefix.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

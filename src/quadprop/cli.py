@@ -4,12 +4,13 @@ Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
 failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
-(an invariant guard or a non-finite JSON value).
+(an invariant guard, or a non-finite value in JSON or the decompose report).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import sys
@@ -92,20 +93,19 @@ def cmd_decompose(args) -> int:
         }
         _emit(args, [_json_dump(payload)])
     else:
-        lines = [
-            f"tau                 = {_fmt_complex(p.tau)}",
-            f"sigma               = {_fmt(p.sigma)}",
-            f"delta_sq            = {_fmt(p.delta_sq)}",
-            f"s                   = {_fmt_complex(f.s)}",
-            f"r                   = {_fmt_complex(f.r)}",
-            f"A                   = {_fmt(m.a)}",
-            f"B                   = {_fmt(m.b)}",
-            f"C                   = {_fmt(m.c)}",
-            f"D                   = {_fmt(m.d)}",
-            f"residual_unitarity  = {_fmt(res_u)}",
-            f"residual_symplectic = {_fmt(res_s)}",
+        rows = [
+            ("tau", p.tau), ("sigma", p.sigma), ("delta_sq", p.delta_sq),
+            ("s", f.s), ("r", f.r), ("A", m.a), ("B", m.b), ("C", m.c), ("D", m.d),
+            ("residual_unitarity", res_u), ("residual_symplectic", res_s),
         ]
-        _emit(args, ["\n".join(lines) + "\n"])
+        # The JSON encoder refuses these values too (allow_nan=False).
+        bad = [name for name, v in rows if not cmath.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite output: {', '.join(bad)}")
+        _emit(args, [
+            f"{name:<19} = {_fmt_complex(v) if isinstance(v, complex) else _fmt(v)}\n"
+            for name, v in rows
+        ])
     return EXIT_OK
 
 

@@ -110,48 +110,50 @@ class QuadraticFormIntegral:
         object.__setattr__(self, "linear", j)
 
 
-def _sqrt_det_posdef_real_part(m: np.ndarray) -> complex:
-    """sqrt(det M) for complex symmetric M with positive definite real part.
-
-    Analytic continuation from the real case: with R = Re M,
-    det M = det R * prod(1 + i lam_k) over the eigenvalues lam_k of
-    R^{-1/2} Im(M) R^{-1/2}; each factor lies in the right half-plane,
-    so its principal square root varies continuously. Taking the
-    principal root factor by factor (rather than of the scalar det)
-    keeps the branch correct even when det M itself winds past the cut.
-    """
-    w, v = np.linalg.eigh(m.real)
-    if w[0] <= 0.0:
-        raise NonConvergentError(
-            f"real part of the quadratic form is not positive definite "
-            f"(min eigenvalue {w[0]:.3e})"
-        )
-    rinv_half = (v / np.sqrt(w)) @ v.T
-    s = rinv_half @ m.imag @ rinv_half
-    lam = np.linalg.eigvalsh(0.5 * (s + s.T))
-    out = math.prod(np.sqrt(w).tolist())
-    for l in lam:
-        out = out * cmath.sqrt(1.0 + 1j * l)
-    return out
-
-
 def gaussian_integral(q: QuadraticFormIntegral) -> complex:
     """Closed-form value (2 pi)^{n/2} / sqrt(det M) * exp(J^T M^{-1} J / 2 + const).
 
-    Checks positive definiteness of Re(M) by factorization and raises
-    NonConvergentError when the integral does not converge.
+    One sweep of symmetric elimination without pivoting, in plain Python,
+    factors Re M and M side by side. The real LDL^T of Re M is the
+    convergence check: a pivot that is not > 0 raises NonConvergentError.
+    The complex LDL^T of M, with y = L^{-1} J substituted in the same loop,
+    gives det M = prod d_k and J^T M^{-1} J = sum y_k^2 / d_k.
+
+    Branch of sqrt(det M): the Hermitian part of the complex symmetric M
+    is Re M > 0, and every Schur complement inherits a positive definite
+    Hermitian part (the argument of ``oracle._cayley_ldu``). So each pivot
+    d_k lies in the open right half-plane, and stays there along
+    M(t) = Re M + i t Im M for t in [0, 1]: no pivot vanishes, and
+    prod sqrt(d_k) over principal roots is the continuation of the
+    positive root at t = 0, even where det M winds past the cut.
     """
-    m = q.matrix
-    n = m.shape[0]
-    try:
-        np.linalg.cholesky(m.real)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergentError(
-            "real part of the quadratic form is not positive definite"
-        ) from exc
-    sqrt_det = _sqrt_det_posdef_real_part(m)
-    quad = 0.5 * q.linear @ np.linalg.solve(m, q.linear)
-    return (2.0 * np.pi) ** (n / 2.0) / sqrt_det * cmath.exp(quad + q.constant)
+    a = q.matrix.tolist()
+    re = [[z.real for z in row] for row in a]
+    y = q.linear.tolist()
+    n = len(a)
+    sqrt_det = 1.0
+    quad = 0.0
+    for k in range(n):
+        p = re[k][k]
+        if not p > 0.0:
+            raise NonConvergentError(
+                "real part of the quadratic form is not positive definite"
+            )
+        d = a[k][k]
+        yk = y[k]
+        sqrt_det *= cmath.sqrt(d)
+        quad += yk * yk / d
+        for i in range(k + 1, n):
+            ri, ai = re[i], a[i]
+            lr = ri[k] / p
+            lc = ai[k] / d
+            y[i] -= lc * yk
+            # Update the lower triangle of the trailing block; column k
+            # below the diagonal is read, never written, in this step.
+            for j in range(k + 1, i + 1):
+                ri[j] -= lr * re[j][k]
+                ai[j] -= lc * a[j][k]
+    return (2.0 * math.pi) ** (n / 2.0) / sqrt_det * cmath.exp(0.5 * quad + q.constant)
 
 
 def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:

@@ -156,10 +156,19 @@ def compose(m2: AbcdMatrix, m1: AbcdMatrix) -> AbcdMatrix:
 
 
 def compose_schedule(schedule) -> AbcdMatrix:
-    """ABCD matrix of a whole schedule, steps applied in list order."""
+    """ABCD matrix of a whole schedule, steps applied in list order.
+
+    Each step's matrix must pass ``require_symplectic`` before it is
+    multiplied in; the error names that step (1-based), not the product.
+    """
     total = AbcdMatrix.identity()
-    for g in schedule:
-        total = compose(abcd_from_generator(g), total)
+    for number, g in enumerate(schedule, start=1):
+        step = abcd_from_generator(g)
+        try:
+            step.require_symplectic()
+        except ValueError as exc:
+            raise ValueError(f"{exc} (schedule step {number})") from exc
+        total = compose(step, total)
     return total
 
 

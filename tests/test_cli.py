@@ -250,7 +250,9 @@ class TestVerifyCommand:
     (["kernel", "0", "20", "0", "0", "1"], None),
     (["compose"], "0 20 0\n"),
     (["decompose", "0", "1000", "0", "--json"], None),
-], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity"])
+    (["decompose", "0", "1000", "0"], None),
+], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
+        "decompose-text-infinity"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"
@@ -260,6 +262,17 @@ def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     assert code == cli.EXIT_PRECISION == 5
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compose_names_the_step_that_lost_digits(tmp_path, capsys):
+    # abcd_from_generator(0, 20, 0) already has det-1 = 2.5e-3 (hyperbolic
+    # cancellation at delta_sq = 400) before any product is taken.
+    path = tmp_path / "bad_step.sched"
+    path.write_text("0 1 1\n0 20 0\n1 0 1\n")
+    code, out, err = _run(capsys, ["compose", str(path)])
+    assert code == cli.EXIT_PRECISION
+    assert out == ""
+    assert err == "error: matrix is not symplectic: det-1 = 2.532e-03 (schedule step 2)\n"
 
 
 def test_dispatch_and_traced_names_resolve():

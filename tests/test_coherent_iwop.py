@@ -24,6 +24,26 @@ from quadprop.verify import random_generators
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
 
+
+def _eigen_sqrt_det(m):
+    """sqrt(det M) by the eigenvalue construction, the reference branch.
+
+    sqrt(det M) = sqrt(det R) * prod sqrt(1 + i lam_k), where R = Re M and
+    lam_k are the eigenvalues of R^{-1/2} Im(M) R^{-1/2}; each factor lies
+    in the right half-plane, so the principal roots follow the analytic
+    continuation from the real case.
+    """
+    w, v = np.linalg.eigh(m.real)
+    assert w[0] > 0.0
+    rinv_half = (v / np.sqrt(w)) @ v.T
+    s = rinv_half @ m.imag @ rinv_half
+    lam = np.linalg.eigvalsh(0.5 * (s + s.T))
+    out = math.prod(np.sqrt(w).tolist())
+    for l in lam:
+        out *= cmath.sqrt(1.0 + 1j * l)
+    return out
+
+
 # Frozen references (independent 40-digit evaluation before the build).
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
 OSC_KERNEL_1_TO_1 = -0.08495811577432465 - 0.38979104871196284j
@@ -118,6 +138,40 @@ class TestGaussianIntegral:
         assert got == pytest.approx(exact, abs=1e-12)
         naive = TWO_PI_SQ / cmath.sqrt(np.linalg.det(lam * np.eye(4)))
         assert abs(naive - exact) > abs(exact)  # wrong sheet flips the sign
+
+    def test_matches_eigenvalue_reference(self):
+        # Random complex symmetric forms with Re M > 0 and a semidefinite
+        # Im M up to 30x Re M, so det M often winds past the cut of the
+        # principal square root.
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        count = off_sheet = 0
+        for n in (1, 2, 3, 4):
+            for im_scale in (0.0, 0.3, 3.0, 30.0):
+                for k in range(20):
+                    a = rng.normal(size=(n, n))
+                    re = a @ a.T + 0.05 * np.eye(n)
+                    c = rng.normal(size=(n, n))
+                    im = (-1) ** k * im_scale * np.trace(re) / n * (c @ c.T)
+                    m = re + 1j * im
+                    j = rng.normal(size=n) + 1j * rng.normal(size=n)
+                    sqrt_det = _eigen_sqrt_det(m)
+                    ref = ((2.0 * np.pi) ** (n / 2.0) / sqrt_det
+                           * cmath.exp(0.5 * j @ np.linalg.solve(m, j) + 0.2 - 0.1j))
+                    got = gaussian_integral(QuadraticFormIntegral(m, j, constant=0.2 - 0.1j))
+                    worst = max(worst, abs(got - ref) / abs(ref))
+                    count += 1
+                    off_sheet += abs(cmath.sqrt(np.linalg.det(m)) + sqrt_det) < abs(sqrt_det)
+        assert count == 320 and off_sheet >= 50
+        assert worst <= 1e-12
+
+    def test_rejects_indefinite_real_part_with_accretive_pivots(self):
+        # Re M = diag(1, -1) is indefinite, yet the complex pivots of M are
+        # 1 and -1 - (2i)^2 / 1 = 3: both in the right half-plane. Only the
+        # factorization of Re M can reject this form.
+        m = np.array([[1.0, 2.0j], [2.0j, -1.0]])
+        with pytest.raises(NonConvergentError, match="not positive definite"):
+            gaussian_integral(QuadraticFormIntegral(m, np.zeros(2)))
 
     def test_rejects_indefinite_real_part(self):
         m = np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex)

@@ -4,7 +4,8 @@ Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
 failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
-(an invariant guard, or a non-finite value in JSON or the decompose report).
+(an invariant guard, or a non-finite value in JSON or in the decompose
+or kernel report).
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _require_finite(named) -> None:
+    """Raise ValueError naming each non-finite value of the (name, value) pairs.
+
+    None values are skipped. JSON output needs no such check: the encoder
+    refuses non-finite values (allow_nan=False).
+    """
+    bad = [name for name, v in named if v is not None and not cmath.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite output: {', '.join(bad)}")
+
+
 def cmd_decompose(args) -> int:
     g = args.generator
     p = to_su11(g)
@@ -98,10 +110,7 @@ def cmd_decompose(args) -> int:
             ("s", f.s), ("r", f.r), ("A", m.a), ("B", m.b), ("C", m.c), ("D", m.d),
             ("residual_unitarity", res_u), ("residual_symplectic", res_s),
         ]
-        # The JSON encoder refuses these values too (allow_nan=False).
-        bad = [name for name, v in rows if not cmath.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite output: {', '.join(bad)}")
+        _require_finite(rows)
         _emit(args, [
             f"{name:<19} = {_fmt_complex(v) if isinstance(v, complex) else _fmt(v)}\n"
             for name, v in rows
@@ -121,6 +130,7 @@ def cmd_kernel(args) -> int:
             payload["check_diff"] = diff
         _emit(args, [_json_dump(payload)])
     else:
+        _require_finite([("kernel", value), ("check_diff", diff)])
         lines = [_fmt_complex(value)]
         if diff is not None:
             lines.append(f"check_diff = {_fmt(diff)}")
@@ -247,10 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare(args) -> None:
     """Validate what argparse cannot and store the built inputs on ``args``.
 
-    Raises ValueError for a bad generator, packet, grid or ``--steps``.
+    Raises ValueError for a bad generator, kernel point, packet, grid or
+    ``--steps``.
     """
     if args.command in ("decompose", "kernel"):
         args.generator = QuadraticGenerator(args.alpha, args.beta, args.gamma)
+    if args.command == "kernel":
+        for name in ("q", "Q"):
+            v = getattr(args, name)
+            if not cmath.isfinite(v):
+                raise ValueError(f"kernel coordinate {name} must be finite, got {v!r}")
     if args.command == "evolve":
         args.packet = GaussianWavepacket(
             center_q=args.center_q,
@@ -262,7 +278,6 @@ def _prepare(args) -> None:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
         args.grid0 = Grid.from_wavepacket(
             args.packet, x_min=args.x_min, x_max=args.x_max, n_points=args.n_points,
-            dt=1.0 / args.steps,
         )
 
 
@@ -294,7 +309,7 @@ def main(argv=None) -> int:
         print(f"boundary leak: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY_LEAK
     except ValueError as exc:
-        # digits lost: an invariant guard, composition drift, a non-finite JSON value
+        # digits lost: an invariant guard or a non-finite output value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
 

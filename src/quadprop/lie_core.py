@@ -101,9 +101,9 @@ class NormalOrderFactors:
         return abs(self.s) ** 2 - abs(self.r) ** 2 - 1.0
 
     def require_unitary(self) -> None:
-        """Raise ValueError when |s|^2 - |r|^2 - 1 exceeds INVARIANT_TOL."""
+        """Raise ValueError unless ||s|^2 - |r|^2 - 1| <= INVARIANT_TOL (NaN fails)."""
         res = self.unitarity_residual()
-        if abs(res) > INVARIANT_TOL:
+        if not abs(res) <= INVARIANT_TOL:
             raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
 
 

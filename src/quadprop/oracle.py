@@ -116,15 +116,12 @@ def fock_unitary_ordered(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> 
 class Grid:
     """Uniform position grid carrying complex amplitudes.
 
-    n_points must be a power of two >= 512; dt is the Crank-Nicolson
-    sub-step in flow parameter used when ``grid_evolve`` is called
-    without an explicit step count.
+    n_points must be a power of two >= 512.
     """
 
     x_min: float
     x_max: float
     n_points: int
-    dt: float
     amplitudes: np.ndarray
 
     def __post_init__(self):
@@ -135,8 +132,6 @@ class Grid:
                 and self.x_max > self.x_min):
             raise ValueError("x_min and x_max must be finite with x_max > x_min, "
                              f"got {self.x_min!r} and {self.x_max!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (n,):
             raise ValueError(f"amplitudes have shape {amp.shape}, expected ({n},)")
@@ -157,11 +152,9 @@ class Grid:
         x_min: float = -40.0,
         x_max: float = 40.0,
         n_points: int = 4096,
-        dt: float = 1e-3,
     ) -> "Grid":
         # validate the axis before sampling the packet on it
-        grid = cls(x_min=x_min, x_max=x_max, n_points=n_points, dt=dt,
-                   amplitudes=np.zeros(n_points, dtype=complex))
+        grid = cls(x_min, x_max, n_points, np.zeros(n_points, dtype=complex))
         return replace(grid, amplitudes=psi.evaluate(grid.x))
 
     def norm(self) -> float:
@@ -231,18 +224,14 @@ def _cayley_ldu(diag: np.ndarray, upper: np.ndarray, ds: float):
     return pivots, sub / pivots[:-1], sup / pivots[:-1]
 
 
-def grid_evolve(
-    g_schedule,
-    psi0: Grid,
-    steps: int | None = None,
-) -> Grid:
+def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     """Crank-Nicolson evolution of a grid state through a generator schedule.
 
     Each schedule entry is one unit of flow parameter split into
-    ``steps`` sub-steps (default round(1/psi0.dt)). The Cayley step
-    psi' = A^-1 (1 - i ds H/2) psi with A = 1 + i ds H/2 is exactly
-    unitary for the Hermitian discretization used, so the norm is
-    conserved to solver accuracy. Since 1 - i ds H/2 = 2 - A, the step is
+    ``steps`` sub-steps. The Cayley step psi' = A^-1 (1 - i ds H/2) psi
+    with A = 1 + i ds H/2 is exactly unitary for the Hermitian
+    discretization used, so the norm is conserved to solver accuracy.
+    Since 1 - i ds H/2 = 2 - A, the step is
     psi' = 2 A^-1 psi - psi and needs no matrix-vector product. A is
     factored once per schedule entry as L D U, unit lower and unit upper
     bidiagonal L and U, without pivoting: A's Hermitian part is the
@@ -256,8 +245,6 @@ def grid_evolve(
     """
     from scipy.linalg.blas import ztbsv
 
-    if steps is None:
-        steps = max(1, round(1.0 / psi0.dt))
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x = psi0.x
@@ -293,10 +280,4 @@ def grid_evolve(
                     "widen the grid"
                 )
 
-    return Grid(
-        x_min=psi0.x_min,
-        x_max=psi0.x_max,
-        n_points=psi0.n_points,
-        dt=ds,
-        amplitudes=psi,
-    )
+    return replace(psi0, amplitudes=psi)

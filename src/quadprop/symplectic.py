@@ -32,10 +32,8 @@ __all__ = [
 
 _LD = np.longdouble
 
-# Composition drift policy: below _DRIFT_KEEP leave the product alone, up to
-# _DRIFT_REPAIR renormalize by 1/sqrt(det), beyond that fail loudly.
-_DRIFT_KEEP = 1e-9
-_DRIFT_REPAIR = 1e-6
+# Taylor terms of the scaled exponential in ``matrix_exp_oracle``.
+_EXP_TERMS = 24
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,9 @@ class AbcdMatrix:
         return self.a * self.d - self.b * self.c
 
     def require_symplectic(self) -> None:
-        """Raise ValueError when AD - BC - 1 exceeds INVARIANT_TOL."""
+        """Raise ValueError unless |AD - BC - 1| <= INVARIANT_TOL (NaN fails)."""
         res = self.det() - 1.0
-        if abs(res) > INVARIANT_TOL:
+        if not abs(res) <= INVARIANT_TOL:
             raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
 
     def as_array(self) -> np.ndarray:
@@ -85,7 +83,7 @@ def abcd_from_generator(g: QuadraticGenerator) -> AbcdMatrix:
     )
 
 
-def matrix_exp_oracle(g: QuadraticGenerator, terms: int = 24) -> AbcdMatrix:
+def matrix_exp_oracle(g: QuadraticGenerator) -> AbcdMatrix:
     """Brute-force flow matrix: exp of [[beta, alpha], [-gamma, -beta]].
 
     Scaling-and-squaring with a truncated Taylor series (>= 20 terms);
@@ -98,7 +96,7 @@ def matrix_exp_oracle(g: QuadraticGenerator, terms: int = 24) -> AbcdMatrix:
     S = G / 2.0**nsquare
     E = np.eye(2)
     term = np.eye(2)
-    for k in range(1, terms + 1):
+    for k in range(1, _EXP_TERMS + 1):
         term = term @ S / k
         E = E + term
     for _ in range(nsquare):
@@ -137,38 +135,34 @@ def sr_from_abcd(m: AbcdMatrix) -> NormalOrderFactors:
 def compose(m2: AbcdMatrix, m1: AbcdMatrix) -> AbcdMatrix:
     """Matrix product m2 . m1 (the later step goes on the left).
 
-    Long chains drift off det = 1 by rounding; drift up to 1e-6 is
-    repaired by renormalizing with 1/sqrt(det), anything larger raises.
+    The plain floating-point product. Rounding drift off det = 1 is
+    returned as it is, never rescaled; callers check it with
+    ``require_symplectic``.
     """
-    out = AbcdMatrix(
+    return AbcdMatrix(
         a=m2.a * m1.a + m2.b * m1.c,
         b=m2.a * m1.b + m2.b * m1.d,
         c=m2.c * m1.a + m2.d * m1.c,
         d=m2.c * m1.b + m2.d * m1.d,
     )
-    drift = abs(out.det() - 1.0)
-    if drift <= _DRIFT_KEEP:
-        return out
-    if drift <= _DRIFT_REPAIR:
-        scale = 1.0 / np.sqrt(out.det())
-        return AbcdMatrix(out.a * scale, out.b * scale, out.c * scale, out.d * scale)
-    raise ValueError(f"composition drifted off the symplectic group: |det-1| = {drift:.3e}")
 
 
 def compose_schedule(schedule) -> AbcdMatrix:
     """ABCD matrix of a whole schedule, steps applied in list order.
 
-    Each step's matrix must pass ``require_symplectic`` before it is
-    multiplied in; the error names that step (1-based), not the product.
+    Each step's matrix, and the running product after it is multiplied
+    in, must pass ``require_symplectic``; the error names the first step
+    (1-based) at which either failed.
     """
     total = AbcdMatrix.identity()
     for number, g in enumerate(schedule, start=1):
         step = abcd_from_generator(g)
         try:
             step.require_symplectic()
+            total = compose(step, total)
+            total.require_symplectic()
         except ValueError as exc:
             raise ValueError(f"{exc} (schedule step {number})") from exc
-        total = compose(step, total)
     return total
 
 

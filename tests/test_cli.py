@@ -94,6 +94,13 @@ class TestKernel:
         diff = float(lines[1].split("=")[1])
         assert diff < 1e-10
 
+    @pytest.mark.parametrize("point", [["inf", "1"], ["0", "nan"]], ids=["q-inf", "Q-nan"])
+    def test_non_finite_point_exit_code(self, capsys, point):
+        code, out, err = _run(capsys, ["kernel", "1", "0", "0", *point])
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: kernel coordinate ")
+
     def test_json_with_check(self, capsys):
         code, out, _ = _run(capsys, ["kernel", "1", "0", "0", "0", "1", "--check", "--json"])
         assert code == 0
@@ -251,8 +258,13 @@ class TestVerifyCommand:
     (["compose"], "0 20 0\n"),
     (["decompose", "0", "1000", "0", "--json"], None),
     (["decompose", "0", "1000", "0"], None),
+    (["kernel", "1", "0", "0", "1e200", "1", "--check"], None),
+    # overflow: A = inf and B = 0 give det-1 = NaN, not a focal point
+    (["kernel", "0", "1000", "0", "0", "1"], None),
+    (["compose"], "0 1000 0\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
-        "decompose-text-infinity"])
+        "decompose-text-infinity", "kernel-text-nan", "kernel-nan-residual",
+        "compose-nan-residual"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"

@@ -103,9 +103,9 @@ class TestFockUnitaries:
 class TestGrid:
     def test_validates_point_count(self):
         with pytest.raises(ValueError):
-            Grid(-10.0, 10.0, 500, 1e-3, np.zeros(500, dtype=complex))
+            Grid(-10.0, 10.0, 500, np.zeros(500, dtype=complex))
         with pytest.raises(ValueError):
-            Grid(-10.0, 10.0, 1000, 1e-3, np.zeros(1000, dtype=complex))
+            Grid(-10.0, 10.0, 1000, np.zeros(1000, dtype=complex))
 
     def test_sampled_packet_is_normalized(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))
@@ -154,11 +154,6 @@ class TestGridEvolve:
             out = grid_evolve([g], grid, steps=1000)
             assert abs(out.norm() - grid.norm()) <= 1e-10
 
-    def test_default_steps_from_dt(self):
-        grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 0.0, 1.0), dt=0.01)
-        out = grid_evolve([named_generator("free", 1.0, 0.0, 0.1)], grid)
-        assert out.dt == pytest.approx(0.01)
-
     def test_boundary_leak_detected(self):
         narrow = Grid.from_wavepacket(
             GaussianWavepacket(0.0, 3.0, 1.0), x_min=-5.0, x_max=5.0, n_points=512
@@ -200,7 +195,7 @@ class TestGridEvolve:
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
         amplitudes = grid.amplitudes.copy()
         amplitudes[200] = np.nan
-        bad = Grid(grid.x_min, grid.x_max, grid.n_points, grid.dt, amplitudes)
+        bad = Grid(grid.x_min, grid.x_max, grid.n_points, amplitudes)
         with pytest.raises(ValueError):
             grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], bad, steps=10)
 
@@ -214,22 +209,6 @@ class TestGridEvolve:
         out1 = grid_evolve([full], grid, steps=1000)
         diff = out2.amplitudes - out1.amplitudes
         assert np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing) < 1e-6
-
-
-def test_end_to_end_grid_vs_convolution():
-    worst = 0.0
-    for kind, packet in [
-        ("free", GaussianWavepacket(0.0, 1.0, 1.0)),
-        ("harmonic", GaussianWavepacket(1.0, 0.0, 1.0)),
-    ]:
-        for t in (0.5, 1.0):
-            g = named_generator(kind, 1.0, 1.0, t)
-            grid = Grid.from_wavepacket(packet)
-            evolved = grid_evolve([g], grid, steps=max(1, round(t / 1e-3)))
-            state = convolve(kernel_from_abcd(abcd_from_generator(g)), packet)
-            diff = evolved.amplitudes - state.evaluate(evolved.x)
-            worst = max(worst, float(np.sqrt(np.sum(np.abs(diff) ** 2) * evolved.spacing)))
-    assert worst < 1e-3
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -386,6 +386,11 @@ NOT_UNITARY = NormalOrderFactors(2.0 + 0j, 0j)
 NOT_SYMPLECTIC = AbcdMatrix(2.0, 1.0, 0.0, 1.0)
 UNITARY_MSG = "factors are not unitary: |s|^2-|r|^2-1 = 3.000e+00"
 SYMPLECTIC_MSG = "matrix is not symplectic: det-1 = 1.000e+00"
+# NaN residuals must fail the guards too; an overflowed flow has A = inf, B = 0
+NAN_FACTORS = NormalOrderFactors(complex(math.nan, 0.0), 0j)
+OVERFLOWED = AbcdMatrix(math.inf, 0.0, 0.0, 0.0)
+UNITARY_NAN_MSG = "factors are not unitary: |s|^2-|r|^2-1 = nan"
+SYMPLECTIC_NAN_MSG = "matrix is not symplectic: det-1 = nan"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -394,7 +399,12 @@ SYMPLECTIC_MSG = "matrix is not symplectic: det-1 = 1.000e+00"
     (lambda: sandwich(CoherentLabel(0j), CoherentLabel(0j), NOT_UNITARY), UNITARY_MSG),
     (lambda: sr_from_abcd(NOT_SYMPLECTIC), SYMPLECTIC_MSG),
     (lambda: kernel_from_abcd(NOT_SYMPLECTIC), SYMPLECTIC_MSG),
-], ids=["abcd_from_sr", "kernel_from_sr", "sandwich", "sr_from_abcd", "kernel_from_abcd"])
+    (lambda: abcd_from_sr(NAN_FACTORS), UNITARY_NAN_MSG),
+    (lambda: sandwich(CoherentLabel(0j), CoherentLabel(0j), NAN_FACTORS), UNITARY_NAN_MSG),
+    (lambda: sr_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
+    (lambda: kernel_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
+], ids=["abcd_from_sr", "kernel_from_sr", "sandwich", "sr_from_abcd", "kernel_from_abcd",
+        "abcd_from_sr-nan", "sandwich-nan", "sr_from_abcd-nan", "kernel_from_abcd-nan"])
 def test_invariant_guards_raise_plain_value_error(call, message):
     # The benchmark sorts these failures by exact type and message prefix.
     with pytest.raises(ValueError) as err:

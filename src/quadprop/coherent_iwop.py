@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _PI_QUARTER = np.pi ** (-0.25)
+_RT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,16 @@ def gaussian_integral(q: QuadraticFormIntegral) -> complex:
     prod sqrt(d_k) over principal roots is the continuation of the
     positive root at t = 0, even where det M winds past the cut.
     """
-    a = q.matrix.tolist()
+    return _integrate(q.matrix.tolist(), q.linear.tolist(), q.constant)
+
+
+def _integrate(a: list, y: list, constant) -> complex:
+    """The sweep of ``gaussian_integral`` on nested lists, unvalidated.
+
+    ``a`` must be a square complex symmetric matrix as a list of row lists
+    and ``y`` a complex vector of the same length; both are overwritten.
+    """
     re = [[z.real for z in row] for row in a]
-    y = q.linear.tolist()
     n = len(a)
     sqrt_det = 1.0
     quad = 0.0
@@ -153,7 +161,7 @@ def gaussian_integral(q: QuadraticFormIntegral) -> complex:
             for j in range(k + 1, i + 1):
                 ri[j] -= lr * re[j][k]
                 ai[j] -= lc * a[j][k]
-    return (2.0 * math.pi) ** (n / 2.0) / sqrt_det * cmath.exp(0.5 * quad + q.constant)
+    return (2.0 * math.pi) ** (n / 2.0) / sqrt_det * cmath.exp(0.5 * quad + constant)
 
 
 def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
@@ -164,35 +172,37 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     in closed form with the d^2z/pi completeness measure, and returns a
     value equal to the direct kernel within 1e-10 wherever the kernel
     is nonsingular.
+
+    The form is built as nested Python lists and handed straight to the
+    sweep of ``gaussian_integral``: the route fills it symmetrically, so
+    the ``QuadraticFormIntegral`` validation is skipped, and the value is
+    bit-identical to integrating the same form through the public API.
+    The focal check reads B = Im s - Im r from the factors; only a focal
+    generator pays for ``abcd_from_generator``, whose matrix the
+    FocalPointError carries.
     """
-    m_abcd = abcd_from_generator(g)
-    if abs(m_abcd.b) < FOCAL_TOL:
-        raise FocalPointError(
-            "focal point: B=0, kernel degenerates to a delta function", matrix=m_abcd
-        )
     f = normal_order(g)
+    if abs(f.s.imag - f.r.imag) < FOCAL_TOL:
+        raise FocalPointError(
+            "focal point: B=0, kernel degenerates to a delta function",
+            matrix=abcd_from_generator(g),
+        )
     ros = f.r / f.s
     rcs = f.r.conjugate() / f.s
     inv_s = 1.0 / f.s
+    m01 = 1j * (1.0 - ros)
+    m23 = -1j * (1.0 + rcs)
+    m03 = -1j * inv_s
+    m12 = 1j * inv_s
+    m = [
+        [3.0 + ros, m01, -inv_s, m03],
+        [m01, 1.0 - ros, m12, -inv_s],
+        [-inv_s, m12, 3.0 - rcs, m23],
+        [m03, -inv_s, m23, 1.0 + rcs],
+    ]
+    j = [complex(_RT2 * Q), 1j * _RT2 * Q, complex(_RT2 * q), -1j * _RT2 * q]
 
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 3.0 + ros
-    m[1, 1] = 1.0 - ros
-    m[2, 2] = 3.0 - rcs
-    m[3, 3] = 1.0 + rcs
-    m[0, 1] = m[1, 0] = 1j * (1.0 - ros)
-    m[2, 3] = m[3, 2] = -1j * (1.0 + rcs)
-    m[0, 2] = m[2, 0] = -inv_s
-    m[1, 3] = m[3, 1] = -inv_s
-    m[0, 3] = m[3, 0] = -1j * inv_s
-    m[1, 2] = m[2, 1] = 1j * inv_s
-
-    rt2 = np.sqrt(2.0)
-    j = np.array([rt2 * Q, 1j * rt2 * Q, rt2 * q, -1j * rt2 * q], dtype=complex)
-
-    integral = gaussian_integral(
-        QuadraticFormIntegral(matrix=m, linear=j, constant=-0.5 * (q * q + Q * Q))
-    )
+    integral = _integrate(m, j, -0.5 * (q * q + Q * Q))
     # Measure 1/pi^2, two overlaps pi^{-1/4} each, and 1/sqrt(s) from the
     # coherent matrix element.
     return integral * np.pi ** (-2.5) / cmath.sqrt(f.s)

@@ -65,15 +65,40 @@ class GaussianKernel:
     def evaluate(self, q, Q):
         """Evaluate K(Q, q); q and Q may be scalars or broadcastable arrays.
 
-        Scalars are routed through the array path so that any
-        partitioning of a point batch gives bitwise-identical values.
+        Two paths run the same IEEE operations in the same order, so any
+        partitioning of a point batch gives bitwise-identical values:
+
+        * two Python ``float``/``int`` scalars are evaluated in Python
+          ``complex`` with ``cmath.exp``, without numpy's per-call cost;
+        * anything else goes through numpy arrays, a 0-d input returning
+          a ``complex``.
+
+        The exponent multiplies complex coefficients by real points, where
+        every rounding is a single product. The final prefactor * exp(...)
+        is written as real products, (pr er - pi ei) + i (pr ei + pi er),
+        because numpy's SIMD complex multiply may fuse them (an FMA rounds
+        once where Python rounds twice) and would then differ from Python
+        in the last bit. A scalar exponent that is not finite, or whose
+        real part is 708 or more (where ``cmath.exp`` raises, or scales
+        differently from the C library's complex exp), falls back to the
+        array path, where overflow gives inf/NaN without a RuntimeWarning.
         """
+        if isinstance(q, (float, int)) and isinstance(Q, (float, int)):
+            q, Q = float(q), float(Q)
+            expo = self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q
+            if expo.real < 708.0 and cmath.isfinite(expo):
+                e = cmath.exp(expo)
+                pr, pi = self.prefactor.real, self.prefactor.imag
+                return complex(pr * e.real - pi * e.imag, pr * e.imag + pi * e.real)
         scalar = np.ndim(q) == 0 and np.ndim(Q) == 0
         q = np.atleast_1d(np.asarray(q, dtype=float))
         Q = np.atleast_1d(np.asarray(Q, dtype=float))
-        out = self.prefactor * np.exp(
-            self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q)
+            pr, pi = self.prefactor.real, self.prefactor.imag
+            out = np.empty(e.shape, dtype=complex)
+            out.real = pr * e.real - pi * e.imag
+            out.imag = pr * e.imag + pi * e.real
         return complex(out[0]) if scalar else out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _gc_gs
+from .lie_core import _ONE, INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _gc_gs
 
 __all__ = [
     "AbcdMatrix",
@@ -29,8 +29,6 @@ __all__ = [
     "invert",
     "load_schedule",
 ]
-
-_LD = np.longdouble
 
 # Taylor terms of the scaled exponential in ``matrix_exp_oracle``.
 _EXP_TERMS = 24
@@ -73,7 +71,7 @@ def abcd_from_generator(g: QuadraticGenerator) -> AbcdMatrix:
     with gc, gs evaluated at delta_sq = beta^2 - alpha*gamma. The
     determinant is gc^2 - delta_sq*gs^2 = 1 identically.
     """
-    a, b, c = _LD(g.alpha), _LD(g.beta), _LD(g.gamma)
+    a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
     gcv, gsv = _gc_gs(b * b - a * c)
     return AbcdMatrix(
         a=float(gcv + b * gsv),

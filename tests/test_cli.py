@@ -4,6 +4,9 @@ import importlib.util
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +277,21 @@ def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     assert code == cli.EXIT_PRECISION == 5
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflow_writes_one_error_line_and_no_warning():
+    # In a fresh process with warnings shown, an overflowing exponent must
+    # reach the user as the one error line, not as numpy RuntimeWarnings.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "quadprop.cli",
+         "kernel", "1", "0", "0", "1e200", "1", "--check"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_PRECISION
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite output: kernel, check_diff\n"
 
 
 def test_compose_names_the_step_that_lost_digits(tmp_path, capsys):

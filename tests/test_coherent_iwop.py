@@ -220,3 +220,55 @@ class TestKernelViaIwop:
     def test_focal_point_propagates(self):
         with pytest.raises(FocalPointError):
             kernel_via_iwop(QuadraticGenerator(0.0, math.log(2.0), 0.0), 0.0, 0.0)
+
+
+def _kernel_via_validated_form(g, q, Q):
+    """The IWOP kernel with its form built in numpy and integrated through
+    the validated public API (QuadraticFormIntegral + gaussian_integral)."""
+    f = normal_order(g)
+    ros = f.r / f.s
+    rcs = f.r.conjugate() / f.s
+    inv_s = 1.0 / f.s
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = 3.0 + ros
+    m[1, 1] = 1.0 - ros
+    m[2, 2] = 3.0 - rcs
+    m[3, 3] = 1.0 + rcs
+    m[0, 1] = m[1, 0] = 1j * (1.0 - ros)
+    m[2, 3] = m[3, 2] = -1j * (1.0 + rcs)
+    m[0, 2] = m[2, 0] = -inv_s
+    m[1, 3] = m[3, 1] = -inv_s
+    m[0, 3] = m[3, 0] = -1j * inv_s
+    m[1, 2] = m[2, 1] = 1j * inv_s
+    rt2 = np.sqrt(2.0)
+    j = np.array([rt2 * Q, 1j * rt2 * Q, rt2 * q, -1j * rt2 * q], dtype=complex)
+    integral = gaussian_integral(
+        QuadraticFormIntegral(matrix=m, linear=j, constant=-0.5 * (q * q + Q * Q))
+    )
+    return integral * np.pi ** (-2.5) / cmath.sqrt(f.s)
+
+
+def test_kernel_via_iwop_bit_identical_to_validated_form():
+    rng = np.random.default_rng(8)
+    gens = rng.uniform(-5.0, 5.0, size=(2100, 3)).tolist()
+    points = rng.uniform(-2.0, 2.0, size=(2100, 2)).tolist()
+    checked = 0
+    for (a, b, c), (q, Q) in zip(gens, points):
+        g = QuadraticGenerator(a, b, c)
+        if abs(abcd_from_generator(g).b) < 1e-12:
+            continue
+        assert kernel_via_iwop(g, q, Q) == _kernel_via_validated_form(g, q, Q)
+        checked += 1
+    assert checked >= 2000
+
+
+def test_focal_error_does_not_need_unitary_factors():
+    # (0, 20, 0) is focal (B = 0), and its rounded (s, r) fail the unitarity
+    # guard, so the error must carry the ABCD matrix without abcd_from_sr.
+    g = QuadraticGenerator(0.0, 20.0, 0.0)
+    with pytest.raises(ValueError):
+        normal_order(g).require_unitary()
+    with pytest.raises(FocalPointError) as err:
+        kernel_via_iwop(g, 0.0, 1.0)
+    assert err.value.matrix == abcd_from_generator(g)
+    assert err.value.matrix.b == 0.0

@@ -352,17 +352,47 @@ class TestNamedGenerator:
             named_generator("anharmonic", 1.0, 1.0, 1.0)
 
 
+def _assert_same_bits(got, want):
+    """Equal bit for bit in both parts, any NaN matching any NaN."""
+    got = np.asarray(got, dtype=complex)
+    want = np.asarray(want, dtype=complex)
+    for a, b in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(b)
+        assert np.array_equal(np.isnan(a), nan)
+        assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
 def test_batch_evaluation_independent_of_partitioning():
-    # evaluating in one batch or in chunks must give bitwise-equal results
-    k = kernel_from_abcd(abcd_from_generator(QuadraticGenerator(0.9, -0.2, 0.3)))
-    q = np.linspace(-2, 2, 101)
-    Q = np.linspace(-1, 3, 101)
-    whole = k.evaluate(q, Q)
-    parts = np.concatenate([k.evaluate(q[:37], Q[:37]),
-                            k.evaluate(q[37:], Q[37:])])
-    assert np.array_equal(whole, parts)
-    singles = np.array([k.evaluate(qi, Qi) for qi, Qi in zip(q, Q)])
-    assert np.array_equal(whole, singles)
+    # Evaluating in one batch, in chunks, or point by point through the
+    # scalar path must give bitwise-equal results.
+    k_abcd = kernel_from_abcd(abcd_from_generator(QuadraticGenerator(0.9, -0.2, 0.3)))
+    k_sr = kernel_from_sr(normal_order(QuadraticGenerator(-1.3, 0.8, 2.1)))
+    assert k_sr.prefactor.real != 0.0 and k_sr.prefactor.imag != 0.0
+    k_comp = compose_kernels(k_sr, k_abcd)
+    # Real exponent parts reach the range where exp overflows (Re >= 709.8)
+    # and the band just below it (Re >= 708) where cmath.exp scales
+    # differently from the C library.
+    k_grow = GaussianKernel(prefactor=0.3 - 0.4j, coef_qQ=0.7 + 2.0j,
+                            coef_qq=-0.1 + 0.5j, coef_QQ=60.0 + 1.0j)
+    rng = np.random.default_rng(21)
+    q = np.concatenate([np.linspace(-2, 2, 101), rng.uniform(-3, 3, 100),
+                        [0.0, 0.0, 0.0, 1e200, 1.0, -4.0, 3.0]])
+    Q = np.concatenate([np.linspace(-1, 3, 101), rng.uniform(-3, 3, 100),
+                        [3.437, 3.44, 3.45, 1.0, 1e200, 2.0, -1.0]])
+    for k in (k_abcd, k_sr, k_comp, k_grow):
+        whole = k.evaluate(q, Q)
+        _assert_same_bits(np.concatenate([k.evaluate(q[:37], Q[:37]),
+                                          k.evaluate(q[37:], Q[37:])]), whole)
+        for convert in (float, np.float64, np.array):
+            singles = [k.evaluate(convert(qi), convert(Qi)) for qi, Qi in zip(q, Q)]
+            assert all(type(v) is complex for v in singles)
+            _assert_same_bits(singles, whole)
+        ints = [i for i, (qi, Qi) in enumerate(zip(q, Q))
+                if qi.is_integer() and Qi.is_integer() and abs(qi) < 1e10 and abs(Qi) < 1e10]
+        assert len(ints) >= 2
+        _assert_same_bits([k.evaluate(int(q[i]), int(Q[i])) for i in ints], whole[ints])
+    assert np.isnan(k_grow.evaluate(0.0, 3.45))
+    assert not np.isfinite(k_abcd.evaluate(1e200, 1.0))
 
 
 def test_dual_form_pointwise_agreement():

@@ -77,8 +77,9 @@ def _json_dump(obj) -> str:
 def _require_finite(named) -> None:
     """Raise ValueError naming each non-finite value of the (name, value) pairs.
 
-    None values are skipped. JSON output needs no such check: the encoder
-    refuses non-finite values (allow_nan=False).
+    None values are skipped. ``decompose`` and ``kernel`` call it in text
+    and JSON mode alike, so that the error names the fields; the JSON
+    encoder's allow_nan=False only backs it up.
     """
     bad = [name for name, v in named if v is not None and not cmath.isfinite(v)]
     if bad:
@@ -92,6 +93,12 @@ def cmd_decompose(args) -> int:
     m = abcd_from_generator(g)
     res_u = f.unitarity_residual()
     res_s = m.det() - 1.0
+    rows = [
+        ("tau", p.tau), ("sigma", p.sigma), ("delta_sq", p.delta_sq),
+        ("s", f.s), ("r", f.r), ("A", m.a), ("B", m.b), ("C", m.c), ("D", m.d),
+        ("residual_unitarity", res_u), ("residual_symplectic", res_s),
+    ]
+    _require_finite(rows)
     if args.json:
         payload = {
             "tau": {"re": p.tau.real, "im": p.tau.imag},
@@ -105,12 +112,6 @@ def cmd_decompose(args) -> int:
         }
         _emit(args, [_json_dump(payload)])
     else:
-        rows = [
-            ("tau", p.tau), ("sigma", p.sigma), ("delta_sq", p.delta_sq),
-            ("s", f.s), ("r", f.r), ("A", m.a), ("B", m.b), ("C", m.c), ("D", m.d),
-            ("residual_unitarity", res_u), ("residual_symplectic", res_s),
-        ]
-        _require_finite(rows)
         _emit(args, [
             f"{name:<19} = {_fmt_complex(v) if isinstance(v, complex) else _fmt(v)}\n"
             for name, v in rows
@@ -124,13 +125,13 @@ def cmd_kernel(args) -> int:
     diff = None
     if args.check:
         diff = abs(value - kernel_via_iwop(g, args.q, args.Q))
+    _require_finite([("kernel", value), ("check_diff", diff)])
     if args.json:
         payload = {"re": value.real, "im": value.imag}
         if diff is not None:
             payload["check_diff"] = diff
         _emit(args, [_json_dump(payload)])
     else:
-        _require_finite([("kernel", value), ("check_diff", diff)])
         lines = [_fmt_complex(value)]
         if diff is not None:
             lines.append(f"check_diff = {_fmt(diff)}")

@@ -59,7 +59,9 @@ def overlap_position(z: CoherentLabel, x):
     const = -0.5 * zc * zc - 0.5 * abs(z.z) ** 2
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _PI_QUARTER * np.exp(-0.5 * x * x + np.sqrt(2.0) * x * zc + const)
+    # far out x * x overflows and the exponential is exactly 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _PI_QUARTER * np.exp(-0.5 * x * x + np.sqrt(2.0) * x * zc + const)
     return complex(out[0]) if scalar else out
 
 
@@ -122,7 +124,7 @@ def gaussian_integral(q: QuadraticFormIntegral) -> complex:
 
     Branch of sqrt(det M): the Hermitian part of the complex symmetric M
     is Re M > 0, and every Schur complement inherits a positive definite
-    Hermitian part (the argument of ``oracle._cayley_ldu``). So each pivot
+    Hermitian part (the argument of ``_cayley.ldu``). So each pivot
     d_k lies in the open right half-plane, and stays there along
     M(t) = Re M + i t Im M for t in [0, 1]: no pivot vanishes, and
     prod sqrt(d_k) over principal roots is the continuation of the

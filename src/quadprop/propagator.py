@@ -182,7 +182,9 @@ class ComplexGaussian:
     def evaluate(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.amp * np.exp(self.quad * x * x + self.lin * x)
+        # far out x * x overflows and the exponential is exactly 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.amp * np.exp(self.quad * x * x + self.lin * x)
         return complex(out[0]) if scalar else out
 
     def norm(self) -> float:

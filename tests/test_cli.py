@@ -262,12 +262,14 @@ class TestVerifyCommand:
     (["decompose", "0", "1000", "0", "--json"], None),
     (["decompose", "0", "1000", "0"], None),
     (["kernel", "1", "0", "0", "1e200", "1", "--check"], None),
+    (["kernel", "1", "0", "0", "1e200", "1", "--check", "--json"], None),
     # overflow: A = inf and B = 0 give det-1 = NaN, not a focal point
     (["kernel", "0", "1000", "0", "0", "1"], None),
+    (["kernel", "0", "1000", "0", "0", "1", "--json"], None),
     (["compose"], "0 1000 0\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
-        "decompose-text-infinity", "kernel-text-nan", "kernel-nan-residual",
-        "compose-nan-residual"])
+        "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
+        "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"
@@ -277,6 +279,17 @@ def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     assert code == cli.EXIT_PRECISION == 5
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["kernel", "1", "0", "0", "1e200", "1", "--check", "--json"], "kernel, check_diff"),
+    (["decompose", "0", "1000", "0", "--json"],
+     "s, r, A, residual_unitarity, residual_symplectic"),
+], ids=["kernel", "decompose"])
+def test_json_mode_names_the_non_finite_fields(capsys, argv, fields):
+    # the error line of text mode, not the JSON encoder's message
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (cli.EXIT_PRECISION, "", f"error: non-finite output: {fields}\n")
 
 
 def test_overflow_writes_one_error_line_and_no_warning():

@@ -3,6 +3,7 @@ closed-form Gaussian integration, and the independent kernel assembly."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestOverlapPosition:
     def test_rejects_non_finite_label(self):
         with pytest.raises(ValueError):
             CoherentLabel(complex(math.nan, 0.0))
+
+    def test_far_tail_is_zero_without_warnings(self):
+        # x * x overflows at x = 1e200; the value is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert overlap_position(CoherentLabel(1 + 0j), 1e200) == 0j
+            assert overlap_position(CoherentLabel(1 + 0j), -1e200) == 0j
 
 
 class TestSandwich:

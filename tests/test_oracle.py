@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quadprop
+from quadprop._cayley import ldu, uld
 from quadprop.errors import BoundaryLeakError
 from quadprop.lie_core import QuadraticGenerator
 from quadprop.oracle import (
@@ -16,7 +17,6 @@ from quadprop.oracle import (
     Grid,
     fock_unitary_direct,
     fock_unitary_ordered,
-    _cayley_ldu,
     _hamiltonian_bands,
     grid_evolve,
 )
@@ -30,8 +30,11 @@ from quadprop.symplectic import abcd_from_generator
 from quadprop.verify import random_generators
 
 
-def _banded_reference(schedule, grid, steps):
-    """Cayley stepping that solves the banded system afresh on every sub-step."""
+def _banded_substeps(schedule, grid, steps):
+    """Cayley stepping that solves the banded system afresh on every sub-step.
+
+    Yields the state after each sub-step.
+    """
     from scipy.linalg import solve_banded
 
     ds = 1.0 / steps
@@ -48,6 +51,14 @@ def _banded_reference(schedule, grid, steps):
             rhs[:-1] -= 0.5j * ds * upper * psi[1:]
             rhs[1:] -= 0.5j * ds * lower * psi[:-1]
             psi = solve_banded((1, 1), ab, rhs)
+            yield psi
+
+
+def _banded_reference(schedule, grid, steps):
+    """The state after the last sub-step of ``_banded_substeps``."""
+    psi = grid.amplitudes
+    for psi in _banded_substeps(schedule, grid, steps):
+        pass
     return psi
 
 
@@ -161,6 +172,33 @@ class TestGridEvolve:
         with pytest.raises(BoundaryLeakError):
             grid_evolve([named_generator("free", 1.0, 0.0, 1.0)], narrow, steps=500)
 
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_matches_banded_solve_after_odd_substep_counts(self, steps):
+        # an odd count ends each entry in the other carried state
+        schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5),
+                    QuadraticGenerator(0.6, 0.1, 0.9)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
+        out = grid_evolve(schedule, grid, steps=steps)
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, steps)).max() <= 1e-14
+
+    @pytest.mark.parametrize("center_p, steps", [(3.0, 20), (3.0, 50), (-3.0, 20), (-3.0, 50)],
+                             ids=["right-edge-sub-step-9", "right-edge-sub-step-22",
+                                  "left-edge-sub-step-9", "left-edge-sub-step-22"])
+    def test_boundary_leak_caught_at_the_substep_it_occurs(self, center_p, steps):
+        # The packet first leaks after sub-step 9 of 20, when grid_evolve
+        # carries p = U~^-1 psi, and after sub-step 22 of 50, when it carries
+        # w = L^-1 psi. The message must show psi's own edge amplitude there.
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.0, center_p, 0.7),
+                                    x_min=-6.0, x_max=6.0, n_points=512)
+        schedule = [named_generator("free", 1.0, 0.0, 1.0)]
+        for k, psi in enumerate(_banded_substeps(schedule, grid, steps), 1):
+            edge = max(abs(psi[0]), abs(psi[-1]))
+            if edge > 1e-6:
+                break
+        assert k == (9 if steps == 20 else 22)
+        with pytest.raises(BoundaryLeakError, match=f"^edge amplitude {edge:.3e} exceeds"):
+            grid_evolve(schedule, grid, steps=steps)
+
     def test_matches_banded_solve_per_substep(self):
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
@@ -188,8 +226,23 @@ class TestGridEvolve:
             steps = int(rng.choice([1, 10, 100, 1000]))
             x = np.linspace(-40.0, 40.0, n)
             diag, upper = _hamiltonian_bands(g, x, x[1] - x[0])
-            pivots, _, _ = _cayley_ldu(diag, upper, 1.0 / steps)
-            assert pivots.real.min() >= 1.0
+            for factor in (ldu, uld):
+                pivots, _, _ = factor(diag, upper, 1.0 / steps)
+                assert pivots.real.min() >= 1.0
+
+    def test_cayley_factorizations_reproduce_the_matrix(self):
+        x = np.linspace(-5.0, 5.0, 64)
+        diag, upper = _hamiltonian_bands(QuadraticGenerator(0.8, 0.3, 1.2), x, x[1] - x[0])
+        ds = 0.01
+        a = (np.diag(1.0 + 0.5j * ds * diag) + np.diag(0.5j * ds * upper, 1)
+             + np.diag(0.5j * ds * upper.conjugate(), -1))
+        one = np.eye(x.size)
+        d, l, u = ldu(diag, upper, ds)
+        product = (one + np.diag(l, -1)) @ np.diag(d) @ (one + np.diag(u, 1))
+        assert np.abs(product - a).max() <= 1e-15
+        d, l, u = uld(diag, upper, ds)
+        product = (one + np.diag(u, 1)) @ np.diag(d) @ (one + np.diag(l, -1))
+        assert np.abs(product - a).max() <= 1e-15
 
     def test_nan_amplitude_rejected(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ class TestWavepacket:
         mean_p = np.trapezoid((vals.conjugate() * dpsi).imag, x)
         # second-order finite differences limit the oracle to ~1e-6 here
         assert psi.mean_momentum() == pytest.approx(mean_p, abs=1e-5)
+
+    def test_far_tail_is_zero_without_warnings(self):
+        # x * x overflows at x = 1e200; the value is exactly 0
+        psi = ComplexGaussian(-0.5 + 0j, 0j, 1 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi.evaluate(1e200) == 0j
+            np.testing.assert_array_equal(psi.evaluate(np.array([-1e200, 1e200])), [0j, 0j])
 
 
 class TestConvolve:

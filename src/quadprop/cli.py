@@ -4,8 +4,8 @@ Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
 failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
-(an invariant guard, or a non-finite value in JSON or in the decompose
-or kernel report).
+(an invariant guard, a non-finite value in JSON or in the decompose or
+kernel report, or an overflowing intermediate).
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def main(argv=None) -> int:
     except BoundaryLeakError as exc:
         print(f"boundary leak: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY_LEAK
-    except ValueError as exc:
-        # digits lost: an invariant guard or a non-finite output value
+    except (ValueError, OverflowError) as exc:
+        # digits lost: an invariant guard, a non-finite value or an overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
 

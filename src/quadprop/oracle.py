@@ -169,27 +169,6 @@ class Grid:
         h = self.spacing
         return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) * h)
 
-    def mean_position(self) -> float:
-        h = self.spacing
-        dens = np.abs(self.amplitudes) ** 2
-        return float(np.sum(self.x * dens) * h) / float(np.sum(dens) * h)
-
-    def position_variance(self) -> float:
-        h = self.spacing
-        dens = np.abs(self.amplitudes) ** 2
-        total = float(np.sum(dens) * h)
-        mean = float(np.sum(self.x * dens) * h) / total
-        return float(np.sum((self.x - mean) ** 2 * dens) * h) / total
-
-    def mean_momentum(self) -> float:
-        """<p> by central differences, Im int conj(psi) dpsi/dx."""
-        h = self.spacing
-        psi = self.amplitudes
-        dpsi = np.zeros_like(psi)
-        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-        val = np.sum(psi.conjugate() * dpsi) * h
-        return float(val.imag) / self.norm() ** 2
-
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
     """Tridiagonal Hermitian discretization of (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2).

@@ -171,12 +171,16 @@ class ComplexGaussian:
 
     @classmethod
     def from_wavepacket(cls, psi: GaussianWavepacket) -> "ComplexGaussian":
+        """Raises ValueError when width^2 underflows or center_q^2 overflows."""
         w2 = psi.width * psi.width
-        quad = complex(-0.5 / w2, 0.0)
-        lin = complex(psi.center_q / w2, psi.center_p)
-        amp = (np.pi * w2) ** (-0.25) * cmath.exp(
-            complex(-0.5 * psi.center_q**2 / w2, psi.phase)
-        )
+        try:
+            quad = complex(-0.5 / w2, 0.0)
+            lin = complex(psi.center_q / w2, psi.center_p)
+            amp = (np.pi * w2) ** (-0.25) * cmath.exp(
+                complex(-0.5 * psi.center_q**2 / w2, psi.phase)
+            )
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"cannot sample {psi}: {exc}") from exc
         return cls(quad=quad, lin=lin, amp=amp)
 
     def evaluate(self, x):
@@ -198,17 +202,6 @@ class ComplexGaussian:
 
     def mean_momentum(self) -> float:
         return 2.0 * self.quad.imag * self.mean_position() + self.lin.imag
-
-    def overlap(self, other: "ComplexGaussian") -> complex:
-        """Inner product <self|other> = int conj(self) * other dx, closed form."""
-        a = self.quad.conjugate() + other.quad
-        b = self.lin.conjugate() + other.lin
-        c = self.amp.conjugate() * other.amp
-        return c * cmath.sqrt(np.pi / -a) * cmath.exp(-b * b / (4.0 * a))
-
-    def l2_distance(self, other: "ComplexGaussian") -> float:
-        d2 = self.norm() ** 2 + other.norm() ** 2 - 2.0 * self.overlap(other).real
-        return math.sqrt(max(d2, 0.0))
 
 
 def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:

@@ -52,9 +52,6 @@ class AbcdMatrix:
         if not abs(res) <= INVARIANT_TOL:
             raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
     def apply(self, q: float, p: float) -> tuple[float, float]:
         """Map a phase-space point: (Q, P) = (aq + bp, cq + dp)."""
         return self.a * q + self.b * p, self.c * q + self.d * p
@@ -182,21 +179,24 @@ def load_schedule(path) -> list[QuadraticGenerator]:
     """
     steps = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ScheduleError(
-                    f"{path}:{lineno}: expected 'alpha beta gamma', got {raw.strip()!r}"
-                )
-            try:
-                alpha, beta, gamma = (float(p) for p in parts)
-            except ValueError as exc:
-                raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                steps.append(QuadraticGenerator(alpha, beta, gamma))
-            except ValueError as exc:
-                raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ScheduleError(
+                        f"{path}:{lineno}: expected 'alpha beta gamma', got {raw.strip()!r}"
+                    )
+                try:
+                    alpha, beta, gamma = (float(p) for p in parts)
+                except ValueError as exc:
+                    raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
+                try:
+                    steps.append(QuadraticGenerator(alpha, beta, gamma))
+                except ValueError as exc:
+                    raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScheduleError(f"{path}: not UTF-8 text: {exc}") from exc
     return steps

@@ -9,6 +9,8 @@ purpose so the harness itself can be exercised.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import coherent_iwop, lie_core, oracle, propagator, symplectic
@@ -61,20 +63,20 @@ def lie_core_suite(rng, inject_fault: bool = False) -> dict:
     worst = 0.0
     for g in gens:
         f = normal_order(g)
-        s = f.s + 1e-6 if inject_fault else f.s
-        worst = max(worst, abs(abs(s) ** 2 - abs(f.r) ** 2 - 1.0))
+        if inject_fault:
+            f = replace(f, s=f.s + 1e-6)
+        worst = max(worst, abs(f.unitarity_residual()))
     checks["unitarity"] = _check(worst, 1e-10)
 
-    # Continuity through the delta_sq = 0 seam of gc/gs, lifted to (s, r)
-    # with tau and sigma held fixed.
+    # Continuity through the delta_sq = 0 seam of gc/gs: delta_sq = 0 generators
+    # against (alpha, beta, gamma - eps/alpha), whose delta_sq is eps.
     worst = 0.0
-    for tau, sigma in [(0.5 + 0.5j, 1.0), (2.0 - 1.0j, -4.0), (0.0 + 0.0j, 3.0)]:
-        ref_s = complex(lie_core.gc(0.0), -0.5 * sigma * lie_core.gs(0.0))
-        ref_r = -tau * lie_core.gs(0.0)
-        for x in (-1e-9, 1e-9):
-            s = complex(lie_core.gc(x), -0.5 * sigma * lie_core.gs(x))
-            r = -tau * lie_core.gs(x)
-            worst = max(worst, abs(s - ref_s), abs(r - ref_r))
+    for alpha, beta, gamma in [(1.0, 1.0, 1.0), (2.0, -1.0, 0.5), (3.0, 0.0, 0.0),
+                               (-0.5, 0.5, -0.5)]:
+        base = normal_order(QuadraticGenerator(alpha, beta, gamma))
+        for eps in (-1e-9, 1e-9):
+            f = normal_order(QuadraticGenerator(alpha, beta, gamma - eps / alpha))
+            worst = max(worst, abs(f.s - base.s), abs(f.r - base.r))
     checks["seam_continuity"] = _check(worst, 1e-7)
 
     # Truncated-Fock certification of the factorization: single exponential

@@ -170,8 +170,10 @@ class TestEvolve:
         ["--n-points", "1000"],
         ["--x-min", "5", "--x-max", "-5"],
         ["--x-min=-inf"],
+        ["--width", "1e-170"],
+        ["--center-q", "1e200"],
     ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
-            "infinite-interval"])
+            "infinite-interval", "width-squared-underflows", "center-squared-overflows"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
         sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
@@ -228,6 +230,13 @@ class TestCompose:
         payload = json.loads(out)
         assert payload["abcd"] == {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}
 
+    def test_non_utf8_schedule_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.sched"
+        path.write_bytes(b"1.0 0.0 0.0  # \xe9tape\n")
+        code, out, err = _run(capsys, ["compose", str(path)])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_exit_zero_when_suites_pass(self, tmp_path, monkeypatch):
@@ -267,9 +276,12 @@ class TestVerifyCommand:
     (["kernel", "0", "1000", "0", "0", "1"], None),
     (["kernel", "0", "1000", "0", "0", "1", "--json"], None),
     (["compose"], "0 1000 0\n"),
+    # the packet's momentum overflows in the closed-form convolution
+    (["evolve", "--center-p", "1e300", "--steps", "1"], "1.0 0.0 0.0\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
-        "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual"])
+        "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
+        "evolve-convolve-overflow"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"

@@ -19,9 +19,7 @@ from quadprop.coherent_iwop import (
 )
 from quadprop.errors import FocalPointError, NonConvergentError
 from quadprop.lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
-from quadprop.propagator import kernel_from_sr
 from quadprop.symplectic import abcd_from_generator
-from quadprop.verify import random_generators
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
 
@@ -209,21 +207,6 @@ class TestKernelViaIwop:
         ref = cmath.exp(-1j * np.pi / 4) / math.sqrt(2 * np.pi) * cmath.exp(-1j)
         assert got == pytest.approx(OSC_KERNEL_1_TO_1, abs=1e-12)
         assert got == pytest.approx(ref, abs=1e-12)
-
-    def test_agrees_with_direct_route(self):
-        rng = np.random.default_rng(19)
-        worst = 0.0
-        count = 0
-        while count < 100:
-            g = random_generators(rng, 1, scale=2.0)[0]
-            if abs(abcd_from_generator(g).b) <= 1e-2:
-                continue
-            q, Q = rng.uniform(-3.0, 3.0, size=2)
-            via = kernel_via_iwop(g, q, Q)
-            direct = kernel_from_sr(normal_order(g)).evaluate(q, Q)
-            worst = max(worst, abs(via - direct))
-            count += 1
-        assert worst <= 1e-10
 
     def test_focal_point_propagates(self):
         with pytest.raises(FocalPointError):

@@ -132,15 +132,6 @@ class TestNormalOrder:
         for g in random_generators(rng, 1000):
             assert abs(normal_order(g).s) >= 1.0 - 1e-12
 
-    def test_continuity_through_degenerate_flow(self):
-        # factors vary smoothly as the discriminant crosses zero
-        base = normal_order(QuadraticGenerator(1.0, 1.0, 1.0))  # delta_sq = 0
-        for eps in (-1e-9, 1e-9):
-            g = QuadraticGenerator(1.0, math.sqrt(1.0 + eps), 1.0)
-            f = normal_order(g)
-            assert abs(f.s - base.s) < 1e-7
-            assert abs(f.r - base.r) < 1e-7
-
 
 @settings(max_examples=300, deadline=None)
 @given(

@@ -7,7 +7,16 @@ import pytest
 
 from quadprop import verify
 
-EXPECTED_SUITES = {"lie_core", "symplectic", "propagator", "iwop", "oracle"}
+# Unit tests leave these sweeps to verify, so a dropped or renamed check
+# would silently remove coverage.
+EXPECTED_CHECKS = {
+    "lie_core": {"unitarity", "seam_continuity", "fock_equivalence"},
+    "symplectic": {"determinant", "matrix_exp_oracle", "sr_dictionary",
+                   "dictionary_roundtrip", "composition_chain"},
+    "propagator": {"dual_form", "generating_roundtrip", "kernel_group", "convolve_unitarity"},
+    "iwop": {"completeness", "dual_route", "identity_limit"},
+    "oracle": {"fock_commutator", "norm_conservation", "end_to_end"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +29,9 @@ def test_fresh_build_passes(summary):
 
 
 def test_summary_schema(summary):
-    assert set(summary["suites"].keys()) == EXPECTED_SUITES
-    for suite in summary["suites"].values():
+    assert summary["suites"].keys() == EXPECTED_CHECKS.keys()
+    for name, suite in summary["suites"].items():
+        assert suite["checks"].keys() == EXPECTED_CHECKS[name]
         assert set(suite.keys()) == {"pass", "max_residual", "checks"}
         assert suite["pass"] is True
         for check in suite["checks"].values():

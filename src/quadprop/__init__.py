@@ -24,7 +24,6 @@ from .symplectic import (
     abcd_from_sr,
     compose,
     compose_schedule,
-    invert,
     load_schedule,
     matrix_exp_oracle,
     sr_from_abcd,
@@ -44,7 +43,6 @@ from .propagator import (
 )
 from .coherent_iwop import (
     CoherentLabel,
-    QuadraticFormIntegral,
     gaussian_integral,
     kernel_via_iwop,
     overlap_position,
@@ -74,7 +72,6 @@ __all__ = [
     "Grid",
     "NonConvergentError",
     "NormalOrderFactors",
-    "QuadraticFormIntegral",
     "QuadraticGenerator",
     "SU11Params",
     "ScheduleError",
@@ -92,7 +89,6 @@ __all__ = [
     "generating_function",
     "grid_evolve",
     "gs",
-    "invert",
     "kernel_from_abcd",
     "kernel_from_sr",
     "kernel_via_iwop",

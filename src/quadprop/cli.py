@@ -99,6 +99,8 @@ def cmd_decompose(args) -> int:
         ("residual_unitarity", res_u), ("residual_symplectic", res_s),
     ]
     _require_finite(rows)
+    f.require_unitary()
+    m.require_symplectic()
     if args.json:
         payload = {
             "tau": {"re": p.tau.real, "im": p.tau.imag},

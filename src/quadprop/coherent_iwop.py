@@ -27,7 +27,6 @@ from .symplectic import abcd_from_generator
 
 __all__ = [
     "CoherentLabel",
-    "QuadraticFormIntegral",
     "overlap_position",
     "sandwich",
     "gaussian_integral",
@@ -86,35 +85,12 @@ def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> com
     return cmath.exp(expo) / cmath.sqrt(f.s)
 
 
-@dataclass(frozen=True)
-class QuadraticFormIntegral:
-    """Multidimensional Gaussian integral int d^n x exp(-x^T M x / 2 + J^T x + const).
+def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
+    """Closed form (2 pi)^{n/2} / sqrt(det M) * exp(J^T M^{-1} J / 2 + const)
+    of int d^n x exp(-x^T M x / 2 + J^T x + const), for Re M > 0.
 
-    M is a complex symmetric matrix stored as paired real/imaginary
-    parts of each entry; J a complex vector; convergence requires the
-    real part of M to be positive definite (checked when integrating).
-    """
-
-    matrix: np.ndarray
-    linear: np.ndarray
-    constant: complex = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        j = np.asarray(self.linear, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if j.shape != (m.shape[0],):
-            raise ValueError(f"linear term has shape {j.shape}, expected ({m.shape[0]},)")
-        asym = np.abs(m - m.T).max()
-        if asym > 1e-12 * max(1.0, np.abs(m).max()):
-            raise ValueError(f"matrix must be symmetric, asymmetry {asym:.3e}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "linear", j)
-
-
-def gaussian_integral(q: QuadraticFormIntegral) -> complex:
-    """Closed-form value (2 pi)^{n/2} / sqrt(det M) * exp(J^T M^{-1} J / 2 + const).
+    ``matrix`` is the complex symmetric M as n row lists and ``linear``
+    the complex vector J as a list; the sweep overwrites both.
 
     One sweep of symmetric elimination without pivoting, in plain Python,
     factors Re M and M side by side. The real LDL^T of Re M is the
@@ -130,15 +106,7 @@ def gaussian_integral(q: QuadraticFormIntegral) -> complex:
     prod sqrt(d_k) over principal roots is the continuation of the
     positive root at t = 0, even where det M winds past the cut.
     """
-    return _integrate(q.matrix.tolist(), q.linear.tolist(), q.constant)
-
-
-def _integrate(a: list, y: list, constant) -> complex:
-    """The sweep of ``gaussian_integral`` on nested lists, unvalidated.
-
-    ``a`` must be a square complex symmetric matrix as a list of row lists
-    and ``y`` a complex vector of the same length; both are overwritten.
-    """
+    a, y = matrix, linear
     re = [[z.real for z in row] for row in a]
     n = len(a)
     sqrt_det = 1.0
@@ -175,10 +143,6 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     value equal to the direct kernel within 1e-10 wherever the kernel
     is nonsingular.
 
-    The form is built as nested Python lists and handed straight to the
-    sweep of ``gaussian_integral``: the route fills it symmetrically, so
-    the ``QuadraticFormIntegral`` validation is skipped, and the value is
-    bit-identical to integrating the same form through the public API.
     The focal check reads B = Im s - Im r from the factors; only a focal
     generator pays for ``abcd_from_generator``, whose matrix the
     FocalPointError carries.
@@ -204,7 +168,7 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     ]
     j = [complex(_RT2 * Q), 1j * _RT2 * Q, complex(_RT2 * q), -1j * _RT2 * q]
 
-    integral = _integrate(m, j, -0.5 * (q * q + Q * Q))
+    integral = gaussian_integral(m, j, -0.5 * (q * q + Q * Q))
     # Measure 1/pi^2, two overlaps pi^{-1/4} each, and 1/sqrt(s) from the
     # coherent matrix element.
     return integral * np.pi ** (-2.5) / cmath.sqrt(f.s)

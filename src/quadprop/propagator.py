@@ -171,7 +171,7 @@ class ComplexGaussian:
 
     @classmethod
     def from_wavepacket(cls, psi: GaussianWavepacket) -> "ComplexGaussian":
-        """Raises ValueError when width^2 underflows or center_q^2 overflows."""
+        """Raises ValueError if width^2 underflows, or center_q^2 or center_q/width^2 overflows."""
         w2 = psi.width * psi.width
         try:
             quad = complex(-0.5 / w2, 0.0)
@@ -181,6 +181,8 @@ class ComplexGaussian:
             )
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot sample {psi}: {exc}") from exc
+        if not (cmath.isfinite(quad) and cmath.isfinite(lin)):
+            raise ValueError(f"cannot sample {psi}: its exponent is not finite")
         return cls(quad=quad, lin=lin, amp=amp)
 
     def evaluate(self, x):

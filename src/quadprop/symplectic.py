@@ -4,9 +4,9 @@ The Heisenberg-picture map of a quadratic generator is linear,
 (Q, P) = (Aq + Bp, Cq + Dp) with AD - BC = 1. This module builds the
 matrix from a generator (through the same gc/gs functions as the
 normal ordering), converts to and from the (s, r) factors, composes
-and inverts maps, and provides an independent matrix-exponential
-oracle for cross-checking. It also parses the step-schedule file
-format used by the CLI for piecewise-constant time dependence.
+maps, and provides an independent matrix-exponential oracle for
+cross-checking. It also parses the step-schedule file format used by
+the CLI for piecewise-constant time dependence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "sr_from_abcd",
     "compose",
     "compose_schedule",
-    "invert",
     "load_schedule",
 ]
 
@@ -159,11 +158,6 @@ def compose_schedule(schedule) -> AbcdMatrix:
         except ValueError as exc:
             raise ValueError(f"{exc} (schedule step {number})") from exc
     return total
-
-
-def invert(m: AbcdMatrix) -> AbcdMatrix:
-    """Symplectic inverse [[d, -b], [-c, a]] (no division needed; det = 1)."""
-    return AbcdMatrix(a=m.d, b=-m.b, c=-m.c, d=m.a)
 
 
 class ScheduleError(ValueError):

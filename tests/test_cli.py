@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadprop
 from quadprop import cli
 
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
@@ -172,8 +174,11 @@ class TestEvolve:
         ["--x-min=-inf"],
         ["--width", "1e-170"],
         ["--center-q", "1e200"],
+        ["--width", "1e-160"],
+        ["--width", "1e-80", "--center-q", "1e150"],
     ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
-            "infinite-interval", "width-squared-underflows", "center-squared-overflows"])
+            "infinite-interval", "width-squared-underflows", "center-squared-overflows",
+            "width-squared-subnormal", "center-over-width-squared-overflows"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
         sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
@@ -278,10 +283,12 @@ class TestVerifyCommand:
     (["compose"], "0 1000 0\n"),
     # the packet's momentum overflows in the closed-form convolution
     (["evolve", "--center-p", "1e300", "--steps", "1"], "1.0 0.0 0.0\n"),
+    # finite output, but D = 0 and both residuals read -1
+    (["decompose", "0", "30", "0"], None),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
-        "evolve-convolve-overflow"])
+        "evolve-convolve-overflow", "decompose-not-unitary"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"
@@ -344,6 +351,11 @@ def test_dispatch_and_traced_names_resolve():
     for command, fn in cli._DISPATCH.items():
         assert inspect.isfunction(fn) and fn.__name__ == f"cmd_{command}"
         assert getattr(cli, fn.__name__) is fn
+    # a name left in an __all__ after its deletion breaks `import *`
+    for info in [None, *pkgutil.iter_modules(quadprop.__path__)]:
+        module = importlib.import_module(f"quadprop.{info.name}" if info else "quadprop")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
 
 
 def test_no_arguments_is_usage_error():

@@ -2,9 +2,11 @@
 
 Normal-ordered factorization of the evolution operator, the symplectic
 ABCD picture with its classical generating function, closed-form
-Gaussian kernels and wavepacket evolution, a coherent-state route that
-re-derives the kernel independently, and brute-force oracles
-(truncated Fock space, Crank-Nicolson grid) validating all of it.
+Gaussian kernels and wavepacket evolution, and a coherent-state route
+that re-derives the kernel independently. The brute-force oracles
+(truncated Fock space, Crank-Nicolson grid) that validate all of it
+live in ``quadprop.oracle`` and the invariant suites in
+``quadprop.verify``; neither is imported here.
 """
 
 from .errors import BoundaryLeakError, FocalPointError, NonConvergentError
@@ -48,14 +50,6 @@ from .coherent_iwop import (
     overlap_position,
     sandwich,
 )
-from .oracle import (
-    FockTruncation,
-    Grid,
-    fock_unitary_direct,
-    fock_unitary_ordered,
-    grid_evolve,
-)
-from .verify import run_all
 
 __version__ = "0.1.0"
 
@@ -65,11 +59,9 @@ __all__ = [
     "CoherentLabel",
     "ComplexGaussian",
     "FocalPointError",
-    "FockTruncation",
     "GaussianKernel",
     "GaussianWavepacket",
     "GeneratingFunctionW",
-    "Grid",
     "NonConvergentError",
     "NormalOrderFactors",
     "QuadraticGenerator",
@@ -82,12 +74,9 @@ __all__ = [
     "compose_kernels",
     "compose_schedule",
     "convolve",
-    "fock_unitary_direct",
-    "fock_unitary_ordered",
     "gaussian_integral",
     "gc",
     "generating_function",
-    "grid_evolve",
     "gs",
     "kernel_from_abcd",
     "kernel_from_sr",
@@ -97,7 +86,6 @@ __all__ = [
     "named_generator",
     "normal_order",
     "overlap_position",
-    "run_all",
     "sandwich",
     "sr_from_abcd",
     "to_su11",

@@ -18,7 +18,6 @@ import sys
 
 from .errors import BoundaryLeakError, FocalPointError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
-from .oracle import Grid, grid_evolve
 from .propagator import GaussianWavepacket, convolve, kernel_from_abcd
 from .symplectic import (
     ScheduleError,
@@ -27,7 +26,6 @@ from .symplectic import (
     load_schedule,
     sr_from_abcd,
 )
-from .verify import run_all
 from .coherent_iwop import kernel_via_iwop
 
 EXIT_OK = 0
@@ -142,6 +140,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .oracle import grid_evolve
+
     schedule = load_schedule(args.schedule)
     packet = args.packet
 
@@ -197,6 +197,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     summary = run_all(inject_fault=args.inject_fault)
     _emit(args, [_json_dump(summary)])
     return EXIT_OK if summary["pass"] else EXIT_VERIFY_FAILED
@@ -279,6 +281,8 @@ def _prepare(args) -> None:
         )
         if args.steps < 1:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        from .oracle import Grid
+
         args.grid0 = Grid.from_wavepacket(
             args.packet, x_min=args.x_min, x_max=args.x_max, n_points=args.n_points,
         )
@@ -302,7 +306,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return _DISPATCH[args.command](args)
-    except (ScheduleError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FocalPointError as exc:

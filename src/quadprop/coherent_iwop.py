@@ -100,7 +100,7 @@ def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
 
     Branch of sqrt(det M): the Hermitian part of the complex symmetric M
     is Re M > 0, and every Schur complement inherits a positive definite
-    Hermitian part (the argument of ``_cayley.ldu``). So each pivot
+    Hermitian part (the argument of ``oracle.ldu``). So each pivot
     d_k lies in the open right half-plane, and stays there along
     M(t) = Re M + i t Im M for t in [0, 1]: no pivot vanishes, and
     prod sqrt(d_k) over principal roots is the continuation of the

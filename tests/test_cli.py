@@ -176,9 +176,12 @@ class TestEvolve:
         ["--center-q", "1e200"],
         ["--width", "1e-160"],
         ["--width", "1e-80", "--center-q", "1e150"],
+        ["--n-points", "512", "--x-min=-1e-300", "--x-max", "1e-300"],
+        ["--x-min=-1e308", "--x-max", "1e308"],
     ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
             "infinite-interval", "width-squared-underflows", "center-squared-overflows",
-            "width-squared-subnormal", "center-over-width-squared-overflows"])
+            "width-squared-subnormal", "center-over-width-squared-overflows",
+            "spacing-squared-underflows", "interval-width-overflows"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
         sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
@@ -246,14 +249,14 @@ class TestCompose:
 class TestVerifyCommand:
     def test_exit_zero_when_suites_pass(self, tmp_path, monkeypatch):
         fake = {"pass": True, "suites": {"lie_core": {"pass": True}}}
-        monkeypatch.setattr(cli, "run_all", lambda inject_fault=False: fake)
+        monkeypatch.setattr("quadprop.verify.run_all", lambda inject_fault=False: fake)
         out_path = tmp_path / "summary.json"
         assert cli.main(["verify", "-o", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["pass"] is True
 
     def test_exit_one_when_a_suite_fails(self, monkeypatch, capsys):
         fake = {"pass": False, "suites": {"lie_core": {"pass": False}}}
-        monkeypatch.setattr(cli, "run_all", lambda inject_fault=False: fake)
+        monkeypatch.setattr("quadprop.verify.run_all", lambda inject_fault=False: fake)
         code, out, _ = _run(capsys, ["verify"])
         assert code == 1
 
@@ -264,7 +267,7 @@ class TestVerifyCommand:
             seen["flag"] = inject_fault
             return {"pass": not inject_fault, "suites": {}}
 
-        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        monkeypatch.setattr("quadprop.verify.run_all", fake_run_all)
         assert cli.main(["verify", "--inject-fault"]) == 1
         assert seen["flag"] is True
         capsys.readouterr()
@@ -285,10 +288,15 @@ class TestVerifyCommand:
     (["evolve", "--center-p", "1e300", "--steps", "1"], "1.0 0.0 0.0\n"),
     # finite output, but D = 0 and both residuals read -1
     (["decompose", "0", "30", "0"], None),
+    # gamma x^2 overflows in the grid Hamiltonian's diagonal
+    (["evolve", "--x-min=-1e300", "--x-max", "1e300", "--steps", "1"], "1.0 0.0 1.0\n"),
+    # and the beta term reaches NaN in its superdiagonal
+    (["evolve", "--x-min=0", "--x-max", "1.7e308", "--steps", "1"], "1.0 1.0 1.0\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
-        "evolve-convolve-overflow", "decompose-not-unitary"])
+        "evolve-convolve-overflow", "decompose-not-unitary", "evolve-band-overflow",
+        "evolve-band-nan"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"
@@ -311,15 +319,60 @@ def test_json_mode_names_the_non_finite_fields(capsys, argv, fields):
     assert (code, out, err) == (cli.EXIT_PRECISION, "", f"error: non-finite output: {fields}\n")
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's quadprop."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "1", "0", "1", "-o", "{file}/out.json"],
+    ["compose", "{file}/x"],
+], ids=["output-under-a-file", "schedule-under-a-file"])
+def test_path_under_a_file_exit_code(tmp_path, capsys, argv):
+    # NotADirectoryError: an OSError that is neither FileNotFoundError nor
+    # IsADirectoryError is still a bad argument
+    file = tmp_path / "plain"
+    file.write_text("")
+    code, out, err = _run(capsys, [a.format(file=file) for a in argv])
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, heavy", [
+    (None, set()),
+    (["decompose", "1", "0", "1"], set()),
+    (["kernel", "1", "0", "1", "0.3", "0.2", "--check"], set()),
+    (["compose", "SCHEDULE"], set()),
+    (["evolve", "SCHEDULE", "--n-points", "512", "--steps", "2"], {"quadprop.oracle", "scipy"}),
+], ids=["import", "decompose", "kernel-check", "compose", "evolve"])
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
+    # Every process compiles what it imports (no bytecode is written here),
+    # so the oracles, the verify suites and scipy load only where they run.
+    schedule = tmp_path / "step.sched"
+    schedule.write_text("0.5 0 0.5\n")
+    if argv is None:
+        script = "import sys, quadprop\n"
+    else:
+        argv = [str(schedule) if a == "SCHEDULE" else a for a in argv]
+        script = ("import sys, quadprop.cli\n"
+                  f"assert quadprop.cli.main({[*argv, '-o', os.devnull]!r}) == 0\n")
+    script += "print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"), timeout=60, check=True)
+    loaded = {m if m.startswith("quadprop") else m.split(".")[0] for m in proc.stdout.split()}
+    assert loaded & {"quadprop.oracle", "quadprop.verify", "scipy"} == heavy
+    assert importlib.util.find_spec("quadprop._cayley") is None
+
+
 def test_overflow_writes_one_error_line_and_no_warning():
     # In a fresh process with warnings shown, an overflowing exponent must
     # reach the user as the one error line, not as numpy RuntimeWarnings.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "quadprop.cli",
          "kernel", "1", "0", "0", "1e200", "1", "--check"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_fresh_env(), timeout=60,
     )
     assert proc.returncode == cli.EXIT_PRECISION
     assert proc.stdout == ""

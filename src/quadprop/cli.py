@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=-40.0)
     p.add_argument("--x-max", type=float, default=40.0)
     p.add_argument("--n-points", type=int, default=4096)
-    p.add_argument("--steps", type=int, default=1000,
+    p.add_argument("--steps", type=int, default=250,
                    help="Crank-Nicolson sub-steps per schedule entry")
     add_output(p)
 

@@ -9,21 +9,13 @@ Two deliberately dumb routes that know nothing about the closed forms:
 * a norm-preserving Crank-Nicolson grid solver for
   i dpsi/ds = (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2) psi,
   one unit of flow parameter per schedule entry, validating kernels and
-  wavepacket convolution end to end. With A = 1 + i ds H/2 each sub-step
-  is psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi. A is factored once per
-  entry both as L D U and as U~ D~ L~ (unit bidiagonal factors) without
-  pivoting, which is stable because Re A = I puts every pivot at real
-  part >= 1. The state is carried alternately as w = L^-1 psi and
-  p = U~^-1 psi, and a sub-step is one tridiagonal product and one unit
-  triangular solve with two off-diagonals:
-
-      U~^-1 psi' = (U U~)^-1 (2 D^-1 w - (U L) w)
-      L^-1 psi'  = (L~ L)^-1 (2 D~^-1 p - (L~ U~) p)
-
-  The solve is one BLAS ztbsv sweep, which at n = 4096 costs about as
-  much with two off-diagonals as with one (40 and 36 us on a 2-vCPU
-  Xeon virtual machine), so a sub-step costs one sweep where stepping
-  psi itself costs two.
+  wavepacket convolution end to end. H is the pentadiagonal, exactly
+  Hermitian fourth-order central-difference discretization. With
+  A = 1 + i ds H/2 each sub-step is psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi.
+  A is factored once per entry as L D U (unit triangular factors with
+  two off-diagonals) without pivoting, which is stable because Re A = I
+  puts every pivot at real part >= 1. A sub-step is then two BLAS ztbsv
+  sweeps, through L and through U, and two vector updates.
 """
 
 from __future__ import annotations
@@ -31,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 from scipy.linalg import expm
@@ -172,65 +165,7 @@ class Grid:
 
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6
-_SWEEP_BLOCK = 512
-
-
-def _eliminate(pivots: np.ndarray, sub: np.ndarray) -> None:
-    """Run pivots[k+1] += sub[k] / pivots[k] * conj(sub[k]), k = 0, 1, ..., in place.
-
-    The recurrence runs on Python complex numbers, which is faster than on
-    numpy scalars, one block of ``_SWEEP_BLOCK`` entries at a time, so that
-    only one block's objects are alive.
-    """
-    d = complex(pivots[0])
-    for lo in range(0, sub.size, _SWEEP_BLOCK):
-        hi = lo + _SWEEP_BLOCK
-        block = pivots[lo + 1:hi + 1].tolist()
-        for k, sub_k in enumerate(sub[lo:hi].tolist()):
-            d = block[k] = block[k] + sub_k / d * sub_k.conjugate()
-        pivots[lo + 1:hi + 1] = block
-
-
-def ldu(diag: np.ndarray, upper: np.ndarray, ds: float):
-    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2.
-
-    H is the Hermitian tridiagonal matrix with real diagonal ``diag`` and
-    superdiagonal ``upper``. Returns the pivots D and the off-diagonals of
-    the unit lower and unit upper bidiagonal factors L and U. Elimination
-    without row exchanges runs d[k+1] = A[k+1, k+1] - A[k+1, k] A[k, k+1] / d[k],
-    the recurrence of LAPACK's zgttrf when it exchanges no rows. Since
-    A[k, k+1] = -conj(A[k+1, k]), the update is + |A[k+1, k]|^2 / d[k], and
-    with Re A[k, k] = 1 the pivots obey
-    Re d[k+1] = 1 + |A[k+1, k]|^2 Re d[k] / |d[k]|^2 >= 1. This is A's
-    Hermitian part being the identity: no pivot can vanish and no
-    multiplier exceeds the entry of A it comes from, so no row exchange
-    is needed.
-    """
-    pivots = 1.0 + 0.5j * ds * diag
-    lower = 0.5j * ds * upper.conjugate()
-    _eliminate(pivots, lower)
-    lower /= pivots[:-1]
-    upper = 0.5j * ds * upper
-    upper /= pivots[:-1]
-    return pivots, lower, upper
-
-
-def uld(diag: np.ndarray, upper: np.ndarray, ds: float):
-    """Pivot-free A = U~ D~ L~ of the same Cayley matrix, eliminating upwards.
-
-    Returns the pivots D~ and the off-diagonals of the unit lower and unit
-    upper bidiagonal factors L~ and U~. Elimination from the last row up
-    runs d[k] = A[k, k] - A[k, k+1] A[k+1, k] / d[k+1]: ``ldu``'s
-    recurrence on the reversed rows, so by the same argument Re d[k] >= 1
-    and no row exchange is needed.
-    """
-    pivots = 1.0 + 0.5j * ds * diag
-    lower = 0.5j * ds * upper.conjugate()
-    _eliminate(pivots[::-1], lower[::-1])
-    lower /= pivots[1:]
-    upper = 0.5j * ds * upper
-    upper /= pivots[1:]
-    return pivots, lower, upper
+_SWEEP_BLOCK = 32
 
 
 def _require_pivots(pivots: np.ndarray) -> None:
@@ -238,110 +173,131 @@ def _require_pivots(pivots: np.ndarray) -> None:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
 
 
-def _substeps(v, r, t, legs, steps):
-    """The sub-steps of one schedule entry, from w = L^-1 psi in ``v``.
+def ldu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, ds: float):
+    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2.
 
-    ``legs`` holds, for the step from w and for the step from p, the
-    diagonal, superdiagonal and subdiagonal of its tridiagonal factor,
-    its k = 2 band, and the multipliers a, b that give the edges of psi
-    from the state it leaves, psi[0] = v[0] + a v[1] and
-    psi[-1] = v[-1] + b v[-2]. ``r`` and ``t`` are work vectors. Returns
-    the carried state and the other work vector.
+    H is the Hermitian pentadiagonal matrix with real diagonal ``diag`` and
+    complex first and second superdiagonals ``up1`` and ``up2``. Returns
+    the pivots D and the unit upper and unit lower factors U and L in
+    ztbsv band storage with leading dimension 5, as two views of one
+    buffer of 5n + 2 entries: column j of U is U[j-2, j], U[j-1, j] and
+    the unit diagonal, and column j of L, two entries further on, is the
+    unit diagonal, L[j+1, j] and L[j+2, j]. Unit diagonals are never read,
+    so each factor's entries sit where the other has nothing to read.
+
+    Elimination without row exchanges is safe because A's Hermitian part
+    is the identity and every Schur complement inherits a Hermitian part
+    >= I: for S = A22 - A21 A11^-1 A12 and any x, z = (-A11^-1 A12 x, x)
+    gives Re x^H S x = Re z^H A z = |z|^2 >= |x|^2. Every pivot is the
+    leading entry of such a complement, so Re d >= 1 and none can vanish.
+    The recurrence runs on Python complex numbers, which is faster than
+    on numpy scalars, one block of ``_SWEEP_BLOCK`` entries at a time, so
+    that only one block's objects are alive. Raises LinAlgError, without
+    a numpy warning, if a pivot is zero or non-finite, which takes entries
+    so large that rounding swamps Re d >= 1.
     """
-    for i in range(steps):
-        # a sum that overflows is re-checked entry by entry
-        if not (cmath.isfinite(v.sum()) or np.isfinite(v).all()):
-            raise ValueError("grid amplitudes must not contain infs or NaNs")
-        c, sup, sub, band, a, b = legs[i & 1]
-        np.multiply(c, v, out=r)
-        r[:-1] -= np.multiply(sup, v[1:], out=t)
-        r[1:] -= np.multiply(sub, v[:-1], out=t)
-        v, r = ztbsv(2, band, r, lower=i & 1, diag=1, overwrite_x=1), v
-        edge = max(abs(v[0] + a * v[1]), abs(v[-1] + b * v[-2]))
-        if edge > _EDGE_AMPLITUDE_LIMIT:
-            raise BoundaryLeakError(
-                f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
-                "widen the grid"
-            )
-    return v, r
+    n = diag.size
+    c = 0.5j * ds
+    pivots = 1.0 + c * diag
+    bands = np.zeros(5 * n + 2, dtype=complex)
+    upper = bands[:-2].reshape(n, 5).T
+    lower = bands[2:].reshape(n, 5).T
+    # U[k, k+1] and L[k+1, k] for every k < n: the last of each is zero
+    # and lies where neither sweep reads
+    u1, l1 = bands[6::5], bands[3::5]
+    # row k, with A[k+j, k] = -conj(A[k, k+j]), e = d U[k, k+1] and f = d L[k+1, k]:
+    #   d[k] = A[k, k] - L[k, k-1] e[k-1] + |A[k-2, k]|^2 / d[k-2]
+    #   e[k] = A[k, k+1] - L[k, k-1] A[k-1, k+1]
+    #   f[k] = A[k+1, k] - A[k+1, k-1] U[k-1, k]
+    e = l = u = a2_p = r_p = r_pp = 0j
+    try:
+        for lo in range(0, n, _SWEEP_BLOCK):
+            hi = lo + _SWEEP_BLOCK
+            d_blk, u_blk, l_blk = [], [], []
+            for a0, a1, a2 in zip_longest(pivots[lo:hi].tolist(), (c * up1[lo:hi]).tolist(),
+                                          (c * up2[lo:hi]).tolist(), fillvalue=0j):
+                d = a0 - l * e + r_pp
+                e = a1 - l * a2_p
+                u, l = e / d, (a2_p.conjugate() * u - a1.conjugate()) / d
+                r_pp, r_p = r_p, a2.conjugate() * a2 / d
+                a2_p = a2
+                d_blk.append(d)
+                u_blk.append(u)
+                l_blk.append(l)
+            pivots[lo:hi] = d_blk
+            u1[lo:hi] = u_blk
+            l1[lo:hi] = l_blk
+    except ZeroDivisionError:
+        # rounding in entries this large can cancel a pivot to zero
+        pivots[lo + len(d_blk)] = d
+    _require_pivots(pivots)
+    a2 = c * up2
+    # entries near the end of the float range can overflow to infinities
+    # here, which the caller's state check then reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(a2, pivots[:-2], out=upper[0, 2:])
+        np.divide(-a2.conj(), pivots[:-2], out=lower[2, :-2])
+    return pivots, upper, lower
 
 
-def _evolve(entries, v: np.ndarray, steps: int) -> np.ndarray:
-    """Step the amplitudes ``v`` in place through the schedule entries.
+def _evolve(entries, psi: np.ndarray, steps: int) -> np.ndarray:
+    """Step the amplitudes ``psi`` through the schedule entries.
 
     ``entries`` yields each entry's Hamiltonian bands (real diagonal,
-    complex superdiagonal); see ``grid_evolve`` for the scheme,
-    the guards and the errors. Returns the final amplitudes, which may be
-    a different array than ``v``.
+    complex first and second superdiagonals); see ``grid_evolve`` for the
+    scheme, the guards and the errors. Overwrites ``psi`` and returns the
+    final amplitudes, which may be a different array.
     """
     ds = 1.0 / steps
-    n = v.size
-    r = np.empty(n, dtype=complex)
-    t = np.empty(n - 1, dtype=complex)
-    # Both bands in ztbsv storage with leading dimension 4, in Fortran
-    # order so that ztbsv does not copy them, share one buffer. Column j of
-    # U U~ (upper) is bands[4j:4j+3]: its second and first superdiagonal
-    # entries, then the unit diagonal. Column j of L~ L (lower) starts one
-    # entry later: the unit diagonal, then its first and second
-    # subdiagonal entries. Unit diagonals are never read (diag=1), so each
-    # band's entries sit where the other has nothing to read.
-    bands = np.zeros(4 * n + 1, dtype=complex)
-    upper_band = bands[:-1].reshape(n, 4).T
-    lower_band = bands[1:].reshape(n, 4).T
-
-    for diag, upper in entries:
-        if not (np.isfinite(diag).all() and np.isfinite(upper).all()):
+    work = np.empty_like(psi)
+    for h_bands in entries:
+        if not all(np.isfinite(b).all() for b in h_bands):
             raise ValueError("Hamiltonian bands must not contain infs or NaNs")
-        diag_w, l, u = ldu(diag, upper, ds)
-        _require_pivots(diag_w)
-        diag_p, lt, ut = uld(diag, upper, ds)
-        _require_pivots(diag_p)
-        del diag, upper
-        # w = L^-1 psi: L's subdiagonal goes where L~ L's first one then
-        # goes, and ztbsv with k = 1 reads nothing else of the band
-        lower_band[1, :-1] = l
-        v = ztbsv(1, lower_band, v, lower=1, diag=1, overwrite_x=1)
-        np.add(l, lt, out=lower_band[1, :-1])
-        np.multiply(lt[1:], l[:-1], out=lower_band[2, :-2])
-        np.add(u, ut, out=upper_band[1, 1:])
-        np.multiply(u[:-1], ut[1:], out=upper_band[0, 2:])
-        # diagonals of 2 D^-1 - U L and 2 D~^-1 - L~ U~, over the pivots
-        np.divide(2.0, diag_w, out=diag_w)
-        diag_w -= 1.0
-        diag_w[:-1] -= np.multiply(u, l, out=t)
-        np.divide(2.0, diag_p, out=diag_p)
-        diag_p -= 1.0
-        diag_p[1:] -= np.multiply(lt, ut, out=t)
-        # psi = U~ p after a step from w, psi = L w after a step from p
-        legs = ((diag_w, u, l, upper_band, complex(ut[0]), 0.0),
-                (diag_p, ut, lt, lower_band, 0.0, complex(l[-1])))
-        v, r = _substeps(v, r, t, legs, steps)
-        if steps & 1:  # psi = U~ p
-            v[:-1] += np.multiply(ut, v[1:], out=t)
-        else:  # psi = L w
-            v[1:] += np.multiply(l, v[:-1], out=t)
+        pivots, upper, lower = ldu(*h_bands, ds)
+        del h_bands
+        two_over_d = np.divide(2.0, pivots, out=pivots)
+        for _ in range(steps):
+            # a sum that overflows is re-checked entry by entry
+            if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
+                raise ValueError("grid amplitudes must not contain infs or NaNs")
+            np.copyto(work, psi)
+            work = ztbsv(2, lower, work, lower=1, diag=1, overwrite_x=1)
+            work *= two_over_d
+            work = ztbsv(2, upper, work, diag=1, overwrite_x=1)
+            work -= psi
+            psi, work = work, psi
+            edge = max(abs(psi[0]), abs(psi[-1]))
+            if edge > _EDGE_AMPLITUDE_LIMIT:
+                raise BoundaryLeakError(
+                    f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
+                    "widen the grid"
+                )
         # free this entry's factors before the next entry makes its own
-        del diag_w, l, u, diag_p, lt, ut, legs
-    return v
+        del pivots, upper, lower, two_over_d
+    return psi
 
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
-    """Tridiagonal Hermitian discretization of (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2).
+    """Pentadiagonal Hermitian discretization of (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2).
 
-    p^2 by central second differences; the cross term by the symmetrized
-    first derivative -(i/2)(x d/dx + d/dx x) averaged on the midpoints,
-    which keeps the matrix exactly Hermitian. Returns the real diagonal
-    and the complex superdiagonal. An entry that overflows is left
+    Fourth-order central differences (B. Fornberg, Math. Comp. 51 (1988)
+    699): p^2 by -(-1, 16, -30, 16, -1)/(12 h^2), and the cross term as
+    (XP + PX)/2 with P = -iD, where the antisymmetric first difference is
+    D psi[k] = (psi[k-2] - 8 psi[k-1] + 8 psi[k+1] - psi[k+2])/(12 h). The
+    matrix is exactly Hermitian. Returns the real diagonal and the complex
+    first and second superdiagonals. An entry that overflows is left
     infinite or NaN, without a warning, for the caller's finiteness check.
     """
     n = x.size
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.full(n, g.alpha / (h * h))
+        diag = np.full(n, 1.25 * g.alpha / (h * h))
         diag += 0.5 * g.gamma * x * x
-        upper = np.full(n - 1, -0.5 * g.alpha / (h * h), dtype=complex)
+        up1 = np.full(n - 1, -g.alpha / (1.5 * h * h), dtype=complex)
+        up2 = np.full(n - 2, g.alpha / (24.0 * h * h), dtype=complex)
         if g.beta != 0.0:
-            upper -= 0.25j * g.beta * (x[:-1] + x[1:]) / h
-    return diag, upper
+            up1 -= 1j * g.beta * (x[:-1] + x[1:]) / (3.0 * h)
+            up2 += 1j * g.beta * (x[:-2] + x[2:]) / (24.0 * h)
+    return diag, up1, up2
 
 
 def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
@@ -352,31 +308,16 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     with A = 1 + i ds H/2 is exactly unitary for the Hermitian
     discretization used, so the norm is conserved to solver accuracy.
     Since 1 - i ds H/2 = 2 - A, the step is psi' = 2 A^-1 psi - psi.
+    The spatial error is O(h^4) and the time error O(ds^2).
 
-    A is factored once per schedule entry in both directions, without
-    pivoting (every pivot has real part >= 1, see ``ldu``):
-    A = L D U and A = U~ D~ L~, with unit lower L, L~ and unit upper U, U~
-    bidiagonal. The state is carried alternately as w = L^-1 psi and
-    p = U~^-1 psi, so that each sub-step is
+    A is factored once per schedule entry as A = L D U without pivoting
+    (every pivot has real part >= 1, see ``ldu``), with L unit lower and
+    U unit upper triangular with two off-diagonals. Each sub-step then
+    solves L y = psi and U z = 2 D^-1 y with one BLAS ztbsv sweep each
+    and sets psi' = z - psi, in preallocated vectors.
 
-        from w:  U~^-1 psi' = (U U~)^-1 (2 D^-1 w - (U L) w)
-        from p:  L^-1 psi' = (L~ L)^-1 (2 D~^-1 p - (L~ U~) p)
-
-    U L and L~ U~ are tridiagonal (one matrix-vector product), and U U~
-    and L~ L are unit triangular with two off-diagonals (one BLAS ztbsv
-    sweep with k = 2). OpenBLAS ztbsv costs about the same per column
-    with k = 1 or k = 2, so one such sweep replaces the two bidiagonal
-    solves that stepping psi itself would need. With u, l, u~, l~ the
-    factors' off-diagonals, U U~ has superdiagonals u[k] + u~[k] and
-    u[k] u~[k+1], L~ L has subdiagonals l[k] + l~[k] and l~[k+1] l[k],
-    and U L and L~ U~ have diagonals 1 + u[k] l[k] and
-    1 + l~[k-1] u~[k-1] and off-diagonals u, l and u~, l~. psi is formed
-    only at the end of each entry, as L w or U~ p.
-
-    Every sub-step checks the state for infs and NaNs (on the
-    carried vector, which a finite bidiagonal map keeps finite or
-    non-finite) and the edge amplitudes of psi, read off two entries of
-    the carried vector.
+    Every sub-step checks the state for infs and NaNs and its two edge
+    amplitudes.
 
     Raises ValueError on non-finite amplitudes or coefficients,
     LinAlgError if a pivot is zero or non-finite, and BoundaryLeakError

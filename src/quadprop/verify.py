@@ -308,7 +308,7 @@ def oracle_suite(rng) -> dict:
             diff = evolved.amplitudes - state.evaluate(evolved.x)
             l2 = np.sqrt(np.sum(np.abs(diff) ** 2) * evolved.spacing)
             worst = max(worst, float(l2))
-    checks["end_to_end"] = _check(worst, 1e-3)
+    checks["end_to_end"] = _check(worst, 1e-5)
 
     return _suite(checks)
 

@@ -228,5 +228,5 @@ def test_criterion_10_end_to_end_physics():
             diff = evolved.amplitudes - state.evaluate(evolved.x)
             l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * evolved.spacing))
             worst_l2 = max(worst_l2, l2)
-    _report(10, "grid oracle vs kernel convolution", worst_l2, 1e-3)
+    _report(10, "grid oracle vs kernel convolution", worst_l2, 1e-5)
     _report(10, "grid norm conservation", worst_norm, 1e-10)

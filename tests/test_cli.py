@@ -292,11 +292,15 @@ class TestVerifyCommand:
     (["evolve", "--x-min=-1e300", "--x-max", "1e300", "--steps", "1"], "1.0 0.0 1.0\n"),
     # and the beta term reaches NaN in its superdiagonal
     (["evolve", "--x-min=0", "--x-max", "1.7e308", "--steps", "1"], "1.0 1.0 1.0\n"),
+    # finite bands, but the pivot recurrence overflows
+    (["evolve", "--steps", "1"], "1.0 1e300 0\n"),
+    # or rounding cancels a pivot to exactly zero
+    (["evolve", "--steps", "1"], "1.0 1e100 0\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
         "evolve-convolve-overflow", "decompose-not-unitary", "evolve-band-overflow",
-        "evolve-band-nan"])
+        "evolve-band-nan", "evolve-pivot-overflow", "evolve-zero-pivot"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"

@@ -16,6 +16,8 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from .errors import BoundaryLeakError, FocalPointError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .propagator import GaussianWavepacket, convolve, kernel_from_abcd
@@ -305,7 +307,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _DISPATCH[args.command](args)
+        # an overflow is reported once, by the guard or the finiteness check it trips
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](args)
     except (ScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

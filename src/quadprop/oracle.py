@@ -4,8 +4,9 @@ Two deliberately dumb routes that know nothing about the closed forms:
 
 * a truncated Fock space where the evolution operator is built both as
   a single matrix exponential of the su(1,1) combination and as the
-  three-factor normal-ordered product, so the factorization parameters
-  can be certified by direct matrix comparison;
+  three-factor normal-ordered product (both by ``symplectic._expm``), so
+  the factorization parameters can be certified by direct matrix
+  comparison;
 * a norm-preserving Crank-Nicolson grid solver for
   i dpsi/ds = (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2) psi,
   one unit of flow parameter per schedule entry, validating kernels and
@@ -15,7 +16,7 @@ Two deliberately dumb routes that know nothing about the closed forms:
   A is factored once per entry as L D U (unit triangular factors with
   two off-diagonals) without pivoting, which is stable because Re A = I
   puts every pivot at real part >= 1. A sub-step is then two BLAS ztbsv
-  sweeps, through L and through U, and two vector updates.
+  sweeps (scipy's one use), through L and U, and two vector updates.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from dataclasses import dataclass, replace
 from itertools import zip_longest
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.linalg.blas import ztbsv
 
 from .errors import BoundaryLeakError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .propagator import GaussianWavepacket
+from .symplectic import _expm
 
 __all__ = [
     "FockTruncation",
@@ -86,28 +87,29 @@ class FockTruncation:
 def fock_unitary_direct(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> np.ndarray:
     """Single matrix exponential of tau K+ + i sigma K0 - tau* K- (truncated).
 
-    Trustworthy on levels well below ``dim`` for coefficient magnitudes
-    up to ~1 (truncation-error regime).
+    Computed by ``symplectic._expm``. Trustworthy on levels well below
+    ``dim`` for coefficient magnitudes up to ~1 (truncation-error regime).
     """
     fock = FockTruncation.build(dim)
     p = to_su11(g)
     gen = p.tau * fock.k_plus + 1j * p.sigma * fock.k_zero - p.tau.conjugate() * fock.k_minus
-    return expm(gen)
+    return _expm(gen)
 
 
 def fock_unitary_ordered(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> np.ndarray:
     """Three-factor normal-ordered product exp(-(r/s)K+) diag exp((r*/s)K-).
 
     The middle factor is diagonal with entries s^{-(n+1/2)} on level n
-    (principal branch of ln s). Agreement with ``fock_unitary_direct``
+    (principal branch of ln s); the nilpotent outer factors come from
+    ``symplectic._expm``. Agreement with ``fock_unitary_direct``
     certifies the (s, r) closed form.
     """
     fock = FockTruncation.build(dim)
     f = normal_order(g)
     log_s = cmath.log(f.s)
     middle = np.diag(np.exp(-(np.arange(dim) + 0.5) * log_s))
-    left = expm(-(f.r / f.s) * fock.k_plus)
-    right = expm((f.r.conjugate() / f.s) * fock.k_minus)
+    left = _expm(-(f.r / f.s) * fock.k_plus)
+    right = _expm((f.r.conjugate() / f.s) * fock.k_minus)
     return left @ middle @ right
 
 

@@ -4,9 +4,9 @@ The Heisenberg-picture map of a quadratic generator is linear,
 (Q, P) = (Aq + Bp, Cq + Dp) with AD - BC = 1. This module builds the
 matrix from a generator (through the same gc/gs functions as the
 normal ordering), converts to and from the (s, r) factors, composes
-maps, and provides an independent matrix-exponential oracle for
-cross-checking. It also parses the step-schedule file format used by
-the CLI for piecewise-constant time dependence.
+maps, and provides ``_expm``, the one matrix exponential of both oracles
+(classical ``matrix_exp_oracle`` and Fock). It also parses the schedule
+file format used by the CLI for piecewise-constant time dependence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "load_schedule",
 ]
 
-# Taylor terms of the scaled exponential in ``matrix_exp_oracle``.
+# Taylor terms of the scaled exponential in ``_expm``.
 _EXP_TERMS = 24
 
 
@@ -77,24 +77,30 @@ def abcd_from_generator(g: QuadraticGenerator) -> AbcdMatrix:
     )
 
 
-def matrix_exp_oracle(g: QuadraticGenerator) -> AbcdMatrix:
-    """Brute-force flow matrix: exp of [[beta, alpha], [-gamma, -beta]].
-
-    Scaling-and-squaring with a truncated Taylor series (>= 20 terms);
-    deliberately independent of gc/gs so it can certify
-    ``abcd_from_generator`` to 1e-10 componentwise.
+def _expm(G: np.ndarray) -> np.ndarray:
+    """exp of a square matrix or a stack (..., n, n), by scaling and squaring
+    a 24-term Taylor series (Moler & Van Loan, SIAM Rev. 45 (2003) 3). A
+    stack shares one squaring count, set by its largest infinity norm.
     """
-    G = np.array([[g.beta, g.alpha], [-g.gamma, -g.beta]], dtype=float)
-    norm = np.abs(G).sum(axis=1).max()
+    norm = np.abs(G).sum(axis=-1).max()
     nsquare = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
     S = G / 2.0**nsquare
-    E = np.eye(2)
-    term = np.eye(2)
+    E = term = np.eye(G.shape[-1])
     for k in range(1, _EXP_TERMS + 1):
         term = term @ S / k
         E = E + term
     for _ in range(nsquare):
         E = E @ E
+    return E
+
+
+def matrix_exp_oracle(g: QuadraticGenerator) -> AbcdMatrix:
+    """Brute-force flow matrix: exp of [[beta, alpha], [-gamma, -beta]] by ``_expm``.
+
+    Deliberately independent of gc/gs so it can certify
+    ``abcd_from_generator`` to 1e-10 componentwise.
+    """
+    E = _expm(np.array([[g.beta, g.alpha], [-g.gamma, -g.beta]], dtype=float))
     return AbcdMatrix(a=E[0, 0], b=E[0, 1], c=E[1, 0], d=E[1, 1])
 
 

@@ -296,11 +296,16 @@ class TestVerifyCommand:
     (["evolve", "--steps", "1"], "1.0 1e300 0\n"),
     # or rounding cancels a pivot to exactly zero
     (["evolve", "--steps", "1"], "1.0 1e100 0\n"),
+    # cosh and sinh overflow in gc/gs: one error line, no numpy warnings
+    (["decompose", "--", "-1e300", "0", "1e300"], None),
+    (["kernel", "--", "-1e300", "0", "1e300", "0", "0"], None),
+    (["compose"], "-1e300 0 1e300\n"),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
         "evolve-convolve-overflow", "decompose-not-unitary", "evolve-band-overflow",
-        "evolve-band-nan", "evolve-pivot-overflow", "evolve-zero-pivot"])
+        "evolve-band-nan", "evolve-pivot-overflow", "evolve-zero-pivot",
+        "decompose-gc-gs-overflow", "kernel-gc-gs-overflow", "compose-gc-gs-overflow"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"

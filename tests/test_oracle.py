@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quadprop.errors import BoundaryLeakError
-from quadprop.lie_core import QuadraticGenerator
+from quadprop.lie_core import QuadraticGenerator, normal_order, to_su11
 from quadprop.oracle import (
     FockTruncation,
     Grid,
@@ -22,7 +22,7 @@ from quadprop.propagator import (
     kernel_from_abcd,
     named_generator,
 )
-from quadprop.symplectic import abcd_from_generator, compose_schedule
+from quadprop.symplectic import _expm, abcd_from_generator, compose_schedule
 from quadprop.verify import random_generators
 
 
@@ -91,6 +91,23 @@ class TestFockUnitaries:
         assert np.abs(off_diag).max() < 1e-10
         np.testing.assert_allclose(np.diag(direct[:9, :9]), ref, atol=1e-8)
         np.testing.assert_allclose(np.diag(ordered[:9, :9]), ref, atol=1e-8)
+
+    def test_exponentials_match_scipy_expm(self):
+        # scipy's Pade expm as an outside reference for the Taylor routine,
+        # on the direct generator and on both nilpotent ordered factors
+        from scipy.linalg import expm
+
+        fock = FockTruncation.build(60)
+        for g in random_generators(np.random.default_rng(11), 5, scale=0.5):
+            p, f = to_su11(g), normal_order(g)
+            for m in (
+                p.tau * fock.k_plus + 1j * p.sigma * fock.k_zero - p.tau.conjugate() * fock.k_minus,
+                -(f.r / f.s) * fock.k_plus,
+                (f.r.conjugate() / f.s) * fock.k_minus,
+            ):
+                assert np.abs(_expm(m)[:9, :9] - expm(m)[:9, :9]).max() <= 1e-12
+            u = fock_unitary_direct(g, dim=60)
+            assert np.abs(u @ u.conj().T - np.eye(60)).max() <= 1e-12
 
     def test_vacuum_squeeze_amplitude(self):
         g = QuadraticGenerator(0.0, math.log(2.0), 0.0)

@@ -13,6 +13,7 @@ from quadprop.lie_core import NormalOrderFactors, QuadraticGenerator, normal_ord
 from quadprop.symplectic import (
     AbcdMatrix,
     ScheduleError,
+    _expm,
     abcd_from_generator,
     abcd_from_sr,
     compose,
@@ -22,7 +23,7 @@ from quadprop.symplectic import (
     sr_from_abcd,
 )
 from quadprop.propagator import named_generator
-from quadprop.verify import random_generators
+from quadprop.verify import near_degenerate_generators, random_generators
 
 
 def _assert_matrix(m: AbcdMatrix, expected, tol=1e-12):
@@ -59,6 +60,22 @@ class TestMatrixExpOracle:
     def test_quarter_rotation(self):
         m = matrix_exp_oracle(QuadraticGenerator(np.pi / 2, 0.0, np.pi / 2))
         _assert_matrix(m, (0.0, 1.0, -1.0, 0.0), tol=1e-13)
+
+    def test_stack_matches_each_matrix(self):
+        # The stack shares the squaring count of its largest norm, so the
+        # smaller matrices are squared more often than alone: agreement is
+        # to rounding (about 2e-14 relative at norms near 10), not bitwise.
+        # The zero generator leads, so a count taken from the first or the
+        # smallest matrix leaves the Taylor series far outside its range.
+        rng = np.random.default_rng(3)
+        gens = ([QuadraticGenerator(0.0, 0.0, 0.0)] + random_generators(rng, 200)
+                + near_degenerate_generators(rng, 20))
+        stack = _expm(np.array([[[g.beta, g.alpha], [-g.gamma, -g.beta]] for g in gens]))
+        assert stack.shape == (221, 2, 2)
+        for g, got in zip(gens, stack):
+            o = matrix_exp_oracle(g)
+            ref = np.array([[o.a, o.b], [o.c, o.d]])
+            assert np.abs(got - ref).max() <= 5e-14 * np.abs(ref).max()
 
 
 class TestDictionaries:

@@ -11,12 +11,16 @@ Two deliberately dumb routes that know nothing about the closed forms:
   i dpsi/ds = (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2) psi,
   one unit of flow parameter per schedule entry, validating kernels and
   wavepacket convolution end to end. H is the pentadiagonal, exactly
-  Hermitian fourth-order central-difference discretization. With
-  A = 1 + i ds H/2 each sub-step is psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi.
-  A is factored once per entry as L D U (unit triangular factors with
-  two off-diagonals) without pivoting, which is stable because Re A = I
-  puts every pivot at real part >= 1. A sub-step is then two BLAS ztbsv
-  sweeps (scipy's one use), through L and U, and two vector updates.
+  Hermitian fourth-order central-difference discretization, so the
+  spatial error is O(h^4). With A = 1 + i ds H/2 each Cayley sub-step is
+  psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi, and Suzuki's symmetric
+  composition of five such sub-steps, one of them backward, makes a step
+  of length tau whose time error is O(tau^4). Each entry factors A
+  twice, once per sub-step length, as L D U (unit triangular factors
+  with two off-diagonals) without pivoting, which is stable because
+  Re A = I puts every pivot at real part >= 1 for either sign of ds. A
+  sub-step is then two BLAS ztbsv sweeps (scipy's one use), through L
+  and U, and two vector updates.
 """
 
 from __future__ import annotations
@@ -167,7 +171,12 @@ class Grid:
 
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6
-_SWEEP_BLOCK = 32
+_BAND_CHUNK = 512
+_SWEEP_BLOCK = 64
+# Suzuki's fractal composition (M. Suzuki, Phys. Lett. A 146 (1990) 319):
+# for a symmetric second-order step S, S(p t) S(p t) S((1 - 4p) t) S(p t) S(p t)
+# is fourth order in t. The middle sub-step runs backward, 1 - 4p < 0.
+_SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
 
 def _require_pivots(pivots: np.ndarray) -> None:
@@ -175,108 +184,78 @@ def _require_pivots(pivots: np.ndarray) -> None:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
 
 
-def ldu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, ds: float):
-    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2.
+def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, ds: float, bands: np.ndarray):
+    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2, in place.
 
-    H is the Hermitian pentadiagonal matrix with real diagonal ``diag`` and
-    complex first and second superdiagonals ``up1`` and ``up2``. Returns
-    the pivots D and the unit upper and unit lower factors U and L in
-    ztbsv band storage with leading dimension 5, as two views of one
-    buffer of 5n + 2 entries: column j of U is U[j-2, j], U[j-1, j] and
-    the unit diagonal, and column j of L, two entries further on, is the
-    unit diagonal, L[j+1, j] and L[j+2, j]. Unit diagonals are never read,
-    so each factor's entries sit where the other has nothing to read.
+    H is ``_hamiltonian_bands(g, x, h)``, built and checked for infs and
+    NaNs ``_BAND_CHUNK`` rows at a time as the sweep reaches them, so no
+    full-length band exists. ``bands`` is a complex buffer of 5n + 2
+    entries that receives the unit upper and unit lower factors U and L in
+    ztbsv band storage with leading dimension 5: column j of U is
+    U[j-2, j], U[j-1, j] and the unit diagonal, and column j of L, two
+    entries further on, is the unit diagonal, L[j+1, j] and L[j+2, j].
+    Unit diagonals are never read, so they share one slot, ``bands[2::5]``,
+    which holds the pivots D. Returns the views D, U and L.
 
     Elimination without row exchanges is safe because A's Hermitian part
-    is the identity and every Schur complement inherits a Hermitian part
-    >= I: for S = A22 - A21 A11^-1 A12 and any x, z = (-A11^-1 A12 x, x)
-    gives Re x^H S x = Re z^H A z = |z|^2 >= |x|^2. Every pivot is the
-    leading entry of such a complement, so Re d >= 1 and none can vanish.
-    The recurrence runs on Python complex numbers, which is faster than
-    on numpy scalars, one block of ``_SWEEP_BLOCK`` entries at a time, so
-    that only one block's objects are alive. Raises LinAlgError, without
-    a numpy warning, if a pivot is zero or non-finite, which takes entries
-    so large that rounding swamps Re d >= 1.
+    is the identity, for either sign of ds, and every Schur complement
+    inherits a Hermitian part >= I: for S = A22 - A21 A11^-1 A12 and any
+    x, z = (-A11^-1 A12 x, x) gives Re x^H S x = Re z^H A z = |z|^2 >= |x|^2.
+    Every pivot is the leading entry of such a complement, so Re d >= 1
+    and none can vanish. The recurrence runs on Python complex numbers,
+    which is faster than on numpy scalars, ``_SWEEP_BLOCK`` rows at a time,
+    so that only one block's objects are alive. Raises ValueError if a band
+    entry is not finite, and LinAlgError, without a numpy warning, if a
+    pivot is zero or non-finite, which takes entries so large that
+    rounding swamps Re d >= 1.
     """
-    n = diag.size
+    n = x.size
     c = 0.5j * ds
-    pivots = 1.0 + c * diag
-    bands = np.zeros(5 * n + 2, dtype=complex)
-    upper = bands[:-2].reshape(n, 5).T
-    lower = bands[2:].reshape(n, 5).T
-    # U[k, k+1] and L[k+1, k] for every k < n: the last of each is zero
-    # and lies where neither sweep reads
-    u1, l1 = bands[6::5], bands[3::5]
+    pivots = bands[2::5]
     # row k, with A[k+j, k] = -conj(A[k, k+j]), e = d U[k, k+1] and f = d L[k+1, k]:
     #   d[k] = A[k, k] - L[k, k-1] e[k-1] + |A[k-2, k]|^2 / d[k-2]
     #   e[k] = A[k, k+1] - L[k, k-1] A[k-1, k+1]
     #   f[k] = A[k+1, k] - A[k+1, k-1] U[k-1, k]
+    # U[k, k+1] and L[k+1, k] of the last row are zero and lie where
+    # neither sweep reads
     e = l = u = a2_p = r_p = r_pp = 0j
-    try:
-        for lo in range(0, n, _SWEEP_BLOCK):
-            hi = lo + _SWEEP_BLOCK
-            d_blk, u_blk, l_blk = [], [], []
-            for a0, a1, a2 in zip_longest(pivots[lo:hi].tolist(), (c * up1[lo:hi]).tolist(),
-                                          (c * up2[lo:hi]).tolist(), fillvalue=0j):
-                d = a0 - l * e + r_pp
-                e = a1 - l * a2_p
-                u, l = e / d, (a2_p.conjugate() * u - a1.conjugate()) / d
-                r_pp, r_p = r_p, a2.conjugate() * a2 / d
-                a2_p = a2
-                d_blk.append(d)
-                u_blk.append(u)
-                l_blk.append(l)
-            pivots[lo:hi] = d_blk
-            u1[lo:hi] = u_blk
-            l1[lo:hi] = l_blk
-    except ZeroDivisionError:
-        # rounding in entries this large can cancel a pivot to zero
-        pivots[lo + len(d_blk)] = d
-    _require_pivots(pivots)
-    a2 = c * up2
-    # entries near the end of the float range can overflow to infinities
-    # here, which the caller's state check then reports
+    # a non-finite pivot makes the U and L entries below non-finite, without
+    # a warning, before the pivot check raises
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(a2, pivots[:-2], out=upper[0, 2:])
-        np.divide(-a2.conj(), pivots[:-2], out=lower[2, :-2])
-    return pivots, upper, lower
-
-
-def _evolve(entries, psi: np.ndarray, steps: int) -> np.ndarray:
-    """Step the amplitudes ``psi`` through the schedule entries.
-
-    ``entries`` yields each entry's Hamiltonian bands (real diagonal,
-    complex first and second superdiagonals); see ``grid_evolve`` for the
-    scheme, the guards and the errors. Overwrites ``psi`` and returns the
-    final amplitudes, which may be a different array.
-    """
-    ds = 1.0 / steps
-    work = np.empty_like(psi)
-    for h_bands in entries:
-        if not all(np.isfinite(b).all() for b in h_bands):
-            raise ValueError("Hamiltonian bands must not contain infs or NaNs")
-        pivots, upper, lower = ldu(*h_bands, ds)
-        del h_bands
-        two_over_d = np.divide(2.0, pivots, out=pivots)
-        for _ in range(steps):
-            # a sum that overflows is re-checked entry by entry
-            if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
-                raise ValueError("grid amplitudes must not contain infs or NaNs")
-            np.copyto(work, psi)
-            work = ztbsv(2, lower, work, lower=1, diag=1, overwrite_x=1)
-            work *= two_over_d
-            work = ztbsv(2, upper, work, diag=1, overwrite_x=1)
-            work -= psi
-            psi, work = work, psi
-            edge = max(abs(psi[0]), abs(psi[-1]))
-            if edge > _EDGE_AMPLITUDE_LIMIT:
-                raise BoundaryLeakError(
-                    f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
-                    "widen the grid"
-                )
-        # free this entry's factors before the next entry makes its own
-        del pivots, upper, lower, two_over_d
-    return psi
+        try:
+            for top in range(0, n, _BAND_CHUNK):
+                diag, up1, up2 = _hamiltonian_bands(g, x[top:top + _BAND_CHUNK + 2], h)
+                if not (np.isfinite(diag).all() and np.isfinite(up1).all()
+                        and np.isfinite(up2).all()):
+                    raise ValueError("Hamiltonian bands must not contain infs or NaNs")
+                a0s = 1.0 + c * diag[:_BAND_CHUNK]
+                a1s, a2s = c * up1[:_BAND_CHUNK], c * up2[:_BAND_CHUNK]
+                for lo in range(top, top + a0s.size, _SWEEP_BLOCK):
+                    i, hi = lo - top, min(lo + _SWEEP_BLOCK, n)
+                    d_blk, u_blk, l_blk = [], [], []
+                    for a0, a1, a2 in zip_longest(a0s[i:i + _SWEEP_BLOCK].tolist(),
+                                                  a1s[i:i + _SWEEP_BLOCK].tolist(),
+                                                  a2s[i:i + _SWEEP_BLOCK].tolist(), fillvalue=0j):
+                        d = a0 - l * e + r_pp
+                        e = a1 - l * a2_p
+                        u, l = e / d, (a2_p.conjugate() * u - a1.conjugate()) / d
+                        r_pp, r_p = r_p, a2.conjugate() * a2 / d
+                        a2_p = a2
+                        d_blk.append(d)
+                        u_blk.append(u)
+                        l_blk.append(l)
+                    pivots[lo:hi] = d_blk
+                    bands[5 * lo + 6:5 * hi + 6:5] = u_blk
+                    bands[5 * lo + 3:5 * hi + 3:5] = l_blk
+                # the chunk's U[j, j+2] and L[j+2, j]
+                m = a2s.size
+                np.divide(a2s, pivots[top:top + m], out=bands[5 * top + 10::5][:m])
+                np.divide(-a2s.conj(), pivots[top:top + m], out=bands[5 * top + 4::5][:m])
+        except ZeroDivisionError:
+            # rounding in entries this large can cancel a pivot to zero
+            pivots[lo + len(d_blk)] = d
+    _require_pivots(pivots)
+    return pivots, bands[:-2].reshape(n, 5).T, bands[2:].reshape(n, 5).T
 
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
@@ -303,23 +282,27 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
 
 
 def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
-    """Crank-Nicolson evolution of a grid state through a generator schedule.
+    """Fourth-order Crank-Nicolson evolution of a grid state through a schedule.
 
-    Each schedule entry is one unit of flow parameter split into
-    ``steps`` sub-steps. The Cayley step psi' = A^-1 (1 - i ds H/2) psi
-    with A = 1 + i ds H/2 is exactly unitary for the Hermitian
-    discretization used, so the norm is conserved to solver accuracy.
-    Since 1 - i ds H/2 = 2 - A, the step is psi' = 2 A^-1 psi - psi.
-    The spatial error is O(h^4) and the time error O(ds^2).
+    Each schedule entry is one unit of flow parameter split into ``steps``
+    steps of tau = 1/steps. A step is Suzuki's composition of five Cayley
+    sub-steps S(p tau) S(p tau) S((1 - 4p) tau) S(p tau) S(p tau), with
+    p = 1/(4 - 4^(1/3)), whose middle ds is negative. The Cayley sub-step
+    psi' = A^-1 (1 - i ds H/2) psi with A = 1 + i ds H/2 is exactly unitary
+    for the Hermitian discretization used, so the norm is conserved to
+    solver accuracy. Since 1 - i ds H/2 = 2 - A, it is psi' = 2 A^-1 psi - psi.
+    The spatial error is O(h^4) and the time error O(tau^4).
 
-    A is factored once per schedule entry as A = L D U without pivoting
-    (every pivot has real part >= 1, see ``ldu``), with L unit lower and
-    U unit upper triangular with two off-diagonals. Each sub-step then
-    solves L y = psi and U z = 2 D^-1 y with one BLAS ztbsv sweep each
-    and sets psi' = z - psi, in preallocated vectors.
+    Each entry factors A twice, at ds = p tau and at ds = (1 - 4p) tau, as
+    A = L D U without pivoting (every pivot has real part >= 1 for either
+    sign of ds, see ``ldu``), with L unit lower and U unit upper triangular
+    with two off-diagonals. A sub-step then solves L y = psi and
+    U z = 2 D^-1 y with one BLAS ztbsv sweep each and sets psi' = z - psi.
+    Both factorizations, the state and the work vector are allocated once
+    per call, before anything else.
 
-    Every sub-step checks the state for infs and NaNs and its two edge
-    amplitudes.
+    Every Cayley sub-step checks the state for infs and NaNs and its two
+    edge amplitudes.
 
     Raises ValueError on non-finite amplitudes or coefficients,
     LinAlgError if a pivot is zero or non-finite, and BoundaryLeakError
@@ -327,7 +310,36 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x = psi0.x
-    h = psi0.spacing
-    entries = (_hamiltonian_bands(g, x, h) for g in g_schedule)
-    return replace(psi0, amplitudes=_evolve(entries, psi0.amplitudes.copy(), steps))
+    n = psi0.n_points
+    # one allocation, made before any other, for both stages' factors, the
+    # state and the work vector: separate arrays left more heap resident
+    buf = np.zeros(12 * n + 4, dtype=complex)
+    bands = buf[:10 * n + 4].reshape(2, 5 * n + 2)
+    psi, work = buf[10 * n + 4:].reshape(2, n)
+    psi[:] = psi0.amplitudes
+    x, h = psi0.x, psi0.spacing
+    tau = 1.0 / steps
+    for g in g_schedule:
+        outer = ldu(g, x, h, _SUZUKI_P * tau, bands[0])
+        inner = ldu(g, x, h, (1.0 - 4.0 * _SUZUKI_P) * tau, bands[1])
+        for pivots, _, _ in (outer, inner):
+            np.divide(2.0, pivots, out=pivots)
+        for _ in range(steps):
+            for two_over_d, upper, lower in (outer, outer, inner, outer, outer):
+                # a sum that overflows is re-checked entry by entry
+                if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
+                    raise ValueError("grid amplitudes must not contain infs or NaNs")
+                np.copyto(work, psi)
+                work = ztbsv(2, lower, work, lower=1, diag=1, overwrite_x=1)
+                work *= two_over_d
+                work = ztbsv(2, upper, work, diag=1, overwrite_x=1)
+                work -= psi
+                psi, work = work, psi
+                edge = max(abs(psi[0]), abs(psi[-1]))
+                if edge > _EDGE_AMPLITUDE_LIMIT:
+                    raise BoundaryLeakError(
+                        f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
+                        "widen the grid"
+                    )
+    # a copy, so that the buffer is freed on return
+    return replace(psi0, amplitudes=psi.copy())

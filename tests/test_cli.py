@@ -203,8 +203,8 @@ class TestEvolve:
     def test_byte_identical_reruns(self, tmp_path):
         sched = self._write(tmp_path, "free.sched", "0.5 0.0 0.0\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["evolve", sched, "--steps", "200", "-o", str(a)]) == 0
-        assert cli.main(["evolve", sched, "--steps", "200", "-o", str(b)]) == 0
+        assert cli.main(["evolve", sched, "--steps", "40", "-o", str(a)]) == 0
+        assert cli.main(["evolve", sched, "--steps", "40", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_grid_route_tracks_kernel_route(self, tmp_path):
@@ -216,6 +216,15 @@ class TestEvolve:
                          "-o", str(out_path)]) == 0
         footer = out_path.read_text().strip().splitlines()[-1]
         assert float(footer.split(",")[1]) < 5e-3
+
+    def test_default_steps_reach_1e_6_on_the_reference_schedule(self, tmp_path):
+        # the default 20 fourth-order steps per entry on the 4096-point grid
+        sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+        out_path = tmp_path / "ref.csv"
+        assert cli.main(["evolve", sched, "--center-q", "0.3", "--center-p", "0.2",
+                         "-o", str(out_path)]) == 0
+        footer = out_path.read_text().strip().splitlines()[-1]
+        assert float(footer.split(",")[1]) <= 1e-6
 
 
 class TestCompose:

@@ -27,31 +27,50 @@ from quadprop.verify import random_generators
 
 
 def _banded_substeps(schedule, grid, steps):
-    """Cayley stepping that solves the banded system afresh on every sub-step.
+    """Suzuki-composed Cayley stepping that solves the banded system afresh on every sub-step.
 
-    Yields the state after each sub-step.
+    Each of the ``steps`` steps per entry is five Cayley sub-steps of ds
+    p tau, p tau, (1 - 4p) tau, p tau and p tau. Yields the state after
+    each sub-step.
     """
     from scipy.linalg import solve_banded
 
-    ds = 1.0 / steps
+    p = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
     psi = grid.amplitudes.copy()
     for g in schedule:
         diag, up1, up2 = _hamiltonian_bands(g, grid.x, grid.spacing)
-        # A = 1 + i ds H/2, two bands each side in solve_banded storage
-        ab = np.zeros((5, psi.size), dtype=complex)
-        ab[0, 2:] = 0.5j * ds * up2
-        ab[1, 1:] = 0.5j * ds * up1
-        ab[2, :] = 1.0 + 0.5j * ds * diag
-        ab[3, :-1] = 0.5j * ds * up1.conjugate()
-        ab[4, :-2] = 0.5j * ds * up2.conjugate()
+        cayley = []
+        for ds in (p * (1.0 / steps), (1.0 - 4.0 * p) * (1.0 / steps)):
+            # A = 1 + i ds H/2, two bands each side in solve_banded storage
+            ab = np.zeros((5, psi.size), dtype=complex)
+            ab[0, 2:] = 0.5j * ds * up2
+            ab[1, 1:] = 0.5j * ds * up1
+            ab[2, :] = 1.0 + 0.5j * ds * diag
+            ab[3, :-1] = 0.5j * ds * up1.conjugate()
+            ab[4, :-2] = 0.5j * ds * up2.conjugate()
+            cayley.append(ab)
+        outer, inner = cayley
         for _ in range(steps):
-            # (1 - i ds H/2) psi = 2 psi - A psi
-            rhs = (2.0 - ab[2]) * psi
-            for j in (1, 2):
-                rhs[:-j] -= ab[2 - j, j:] * psi[j:]
-                rhs[j:] -= ab[2 + j, :-j] * psi[:-j]
-            psi = solve_banded((2, 2), ab, rhs)
-            yield psi
+            for ab in (outer, outer, inner, outer, outer):
+                # (1 - i ds H/2) psi = 2 psi - A psi
+                rhs = (2.0 - ab[2]) * psi
+                for j in (1, 2):
+                    rhs[:-j] -= ab[2 - j, j:] * psi[j:]
+                    rhs[j:] -= ab[2 + j, :-j] * psi[:-j]
+                psi = solve_banded((2, 2), ab, rhs)
+                yield psi
+
+
+def _l2(out, state):
+    diff = out.amplitudes - state.evaluate(out.x)
+    return np.sqrt(np.sum(np.abs(diff) ** 2) * out.spacing)
+
+
+def _two_entry_case():
+    """A two-entry schedule, its packet and the closed-form evolved state."""
+    schedule = [QuadraticGenerator(1.0, 0.05, 0.9), QuadraticGenerator(0.8, -0.03, 1.1)]
+    packet = GaussianWavepacket(0.3, 0.2, 1.0)
+    return schedule, packet, convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
 
 
 def _banded_reference(schedule, grid, steps):
@@ -131,30 +150,29 @@ class TestGrid:
 class TestGridEvolve:
     def test_zero_generator_is_identity(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))
-        out = grid_evolve([QuadraticGenerator(0.0, 0.0, 0.0)], grid, steps=100)
+        out = grid_evolve([QuadraticGenerator(0.0, 0.0, 0.0)], grid, steps=20)
         np.testing.assert_allclose(out.amplitudes, grid.amplitudes, atol=1e-12)
 
     def test_empty_schedule_is_identity(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))
-        out = grid_evolve([], grid, steps=100)
+        out = grid_evolve([], grid, steps=20)
         np.testing.assert_allclose(out.amplitudes, grid.amplitudes, atol=0.0)
 
     def test_harmonic_quarter_period_rotation(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(1.0, 0.0, 1.0))
         g = named_generator("harmonic", 1.0, 1.0, np.pi / 2)
-        out = grid_evolve([g], grid, steps=2000)
+        out = grid_evolve([g], grid, steps=400)
         # agrees with the closed-form convolution route
         state = convolve(kernel_from_abcd(abcd_from_generator(g)),
                          GaussianWavepacket(1.0, 0.0, 1.0))
-        diff = out.amplitudes - state.evaluate(out.x)
-        assert np.sqrt(np.sum(np.abs(diff) ** 2) * out.spacing) < 1e-3
+        assert _l2(out, state) < 1e-3
 
     def test_boundary_leak_detected(self):
         narrow = Grid.from_wavepacket(
             GaussianWavepacket(0.0, 3.0, 1.0), x_min=-5.0, x_max=5.0, n_points=512
         )
         with pytest.raises(BoundaryLeakError):
-            grid_evolve([named_generator("free", 1.0, 0.0, 1.0)], narrow, steps=500)
+            grid_evolve([named_generator("free", 1.0, 0.0, 1.0)], narrow, steps=100)
 
     @pytest.mark.parametrize("steps", [1, 3, 7])
     def test_matches_banded_solve_after_odd_substep_counts(self, steps):
@@ -162,14 +180,20 @@ class TestGridEvolve:
                     QuadraticGenerator(0.6, 0.1, 0.9)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
         out = grid_evolve(schedule, grid, steps=steps)
-        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, steps)).max() <= 1e-14
+        # The gap is both solvers' rounding. Against a long-double run of the
+        # same stepping, grid_evolve reads up to 1.4e-14 (steps=7: 105
+        # sub-steps reuse factors whose entries carry about 1 ulp each; with
+        # correctly rounded factors it reads 4.0e-15) and solve_banded up to
+        # 8.1e-15 over steps 1-15. A sub-step length off by 1e-12 reads 9e-13.
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, steps)).max() <= 2e-14
 
-    @pytest.mark.parametrize("center_p, steps", [(3.0, 20), (3.0, 50), (-3.0, 20), (-3.0, 50)],
+    @pytest.mark.parametrize("center_p, steps", [(3.0, 4), (3.0, 10), (-3.0, 4), (-3.0, 10)],
                              ids=["right-edge-sub-steps-20", "right-edge-sub-steps-50",
                                   "left-edge-sub-steps-20", "left-edge-sub-steps-50"])
     def test_boundary_leak_caught_at_the_substep_it_occurs(self, center_p, steps):
         # The message must show psi's edge amplitude after the first
-        # sub-step of the reference stepping whose edge passes 1e-6.
+        # Cayley sub-step of the reference stepping whose edge passes 1e-6;
+        # ``steps`` steps are 5 * steps sub-steps.
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, center_p, 0.7),
                                     x_min=-6.0, x_max=6.0, n_points=512)
         schedule = [named_generator("free", 1.0, 0.0, 1.0)]
@@ -177,15 +201,15 @@ class TestGridEvolve:
             edge = max(abs(psi[0]), abs(psi[-1]))
             if edge > 1e-6:
                 break
-        assert 1 < k < steps
+        assert 1 < k < 5 * steps
         with pytest.raises(BoundaryLeakError, match=f"^edge amplitude {edge:.3e} exceeds"):
             grid_evolve(schedule, grid, steps=steps)
 
     def test_matches_banded_solve_per_substep(self):
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
-        out = grid_evolve(schedule, grid, steps=100)
-        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 100)).max() <= 1e-14
+        out = grid_evolve(schedule, grid, steps=20)
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 20)).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "g, n_points",
@@ -195,32 +219,37 @@ class TestGridEvolve:
     def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points):
         # the squeeze's edge off-diagonals exceed its unit diagonal, where a
         # partial-pivoting band LU (zgbtrf) exchanges rows; the free particle
-        # has ds H/2 of about 500
+        # has |ds| H/2 of about 1600 in the backward sub-step
         schedule = [QuadraticGenerator(*g)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=n_points)
-        out = grid_evolve(schedule, grid, steps=10)
-        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 10)).max() <= 1e-12
+        out = grid_evolve(schedule, grid, steps=2)
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
     def test_cayley_pivots_have_real_part_at_least_one(self):
+        # Re A = I for either sign of ds, so the backward sub-step's
+        # factorization needs no pivoting either
         rng = np.random.default_rng(5)
         for g in random_generators(rng, 100, scale=3.0):
             n = int(rng.choice([512, 1024, 4096]))
             steps = int(rng.choice([1, 10, 100, 1000]))
             x = np.linspace(-40.0, 40.0, n)
-            pivots, _, _ = ldu(*_hamiltonian_bands(g, x, x[1] - x[0]), 1.0 / steps)
-            assert pivots.real.min() >= 1.0
+            for ds in (1.0 / steps, -1.0 / steps):
+                pivots, _, _ = ldu(g, x, x[1] - x[0], ds, np.zeros(5 * n + 2, dtype=complex))
+                assert pivots.real.min() >= 1.0
 
     def test_cayley_factorizations_reproduce_the_matrix(self):
+        g = QuadraticGenerator(0.8, 0.3, 1.2)
         x = np.linspace(-40.0, 40.0, 512)
-        diag, up1, up2 = _hamiltonian_bands(QuadraticGenerator(0.8, 0.3, 1.2), x, x[1] - x[0])
-        c = 0.5j * 0.01
-        a = (np.diag(1.0 + c * diag) + np.diag(c * up1, 1) + np.diag(c * up2, 2)
-             + np.diag(c * up1.conjugate(), -1) + np.diag(c * up2.conjugate(), -2))
-        d, upper, lower = ldu(diag, up1, up2, 0.01)
+        diag, up1, up2 = _hamiltonian_bands(g, x, x[1] - x[0])
         one = np.eye(x.size)
-        l = one + np.diag(lower[1, :-1], -1) + np.diag(lower[2, :-2], -2)
-        u = one + np.diag(upper[1, 1:], 1) + np.diag(upper[0, 2:], 2)
-        assert np.abs(l @ np.diag(d) @ u - a).max() <= 1e-15
+        for ds in (0.01, -0.01):
+            c = 0.5j * ds
+            a = (np.diag(1.0 + c * diag) + np.diag(c * up1, 1) + np.diag(c * up2, 2)
+                 + np.diag(c * up1.conjugate(), -1) + np.diag(c * up2.conjugate(), -2))
+            d, upper, lower = ldu(g, x, x[1] - x[0], ds, np.zeros(5 * x.size + 2, dtype=complex))
+            l = one + np.diag(lower[1, :-1], -1) + np.diag(lower[2, :-2], -2)
+            u = one + np.diag(upper[1, 1:], 1) + np.diag(upper[0, 2:], 2)
+            assert np.abs(l @ np.diag(d) @ u - a).max() <= 1e-15
 
     def test_nan_amplitude_rejected(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
@@ -228,7 +257,7 @@ class TestGridEvolve:
         amplitudes[200] = np.nan
         bad = Grid(grid.x_min, grid.x_max, grid.n_points, amplitudes)
         with pytest.raises(ValueError):
-            grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], bad, steps=10)
+            grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], bad, steps=2)
 
     def test_schedule_composition_matches_single_step(self):
         # two half-time free entries equal one full-time entry
@@ -236,20 +265,24 @@ class TestGridEvolve:
         grid = Grid.from_wavepacket(packet)
         half = named_generator("free", 1.0, 0.0, 0.5)
         full = named_generator("free", 1.0, 0.0, 1.0)
-        out2 = grid_evolve([half, half], grid, steps=500)
-        out1 = grid_evolve([full], grid, steps=1000)
+        out2 = grid_evolve([half, half], grid, steps=100)
+        out1 = grid_evolve([full], grid, steps=200)
         diff = out2.amplitudes - out1.amplitudes
         assert np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing) < 1e-6
 
     def test_error_falls_as_h_to_the_fourth(self):
-        # ds = 1/4000 keeps the time error below the spatial error at
+        # tau = 1/200 keeps the time error far below the spatial error at
         # 2048 points; h^4 predicts 16x per halving
-        schedule = [QuadraticGenerator(1.0, 0.05, 0.9), QuadraticGenerator(0.8, -0.03, 1.1)]
-        packet = GaussianWavepacket(0.3, 0.2, 1.0)
-        state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
-        errors = []
-        for n in (512, 1024, 2048):
-            out = grid_evolve(schedule, Grid.from_wavepacket(packet, n_points=n), steps=4000)
-            diff = out.amplitudes - state.evaluate(out.x)
-            errors.append(np.sqrt(np.sum(np.abs(diff) ** 2) * out.spacing))
+        schedule, packet, state = _two_entry_case()
+        errors = [_l2(grid_evolve(schedule, Grid.from_wavepacket(packet, n_points=n), steps=200),
+                      state)
+                  for n in (512, 1024, 2048)]
         assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
+
+    def test_error_falls_as_tau_to_the_fourth(self):
+        # on the default 4096-point grid the error is the time error;
+        # tau^4 predicts 16x per halving of tau
+        schedule, packet, state = _two_entry_case()
+        grid = Grid.from_wavepacket(packet)
+        errors = [_l2(grid_evolve(schedule, grid, steps=steps), state) for steps in (8, 16)]
+        assert errors[0] / errors[1] >= 12.0

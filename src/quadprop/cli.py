@@ -314,7 +314,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FocalPointError as exc:
-        print(f"focal point: B=0 ({exc})", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_FOCAL_POINT
     except BoundaryLeakError as exc:
         print(f"boundary leak: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FOCAL_TOL, FocalPointError, NonConvergentError
+from .errors import NonConvergentError, require_off_caustic
 from .lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
 from .symplectic import abcd_from_generator
 
@@ -140,19 +140,13 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     Builds the 4-dimensional quadratic form of the integrand
     <Q|z1><z1|U|z2><z2|q> over (Re z1, Im z1, Re z2, Im z2), integrates
     in closed form with the d^2z/pi completeness measure, and returns a
-    value equal to the direct kernel within 1e-10 wherever the kernel
-    is nonsingular.
-
-    The focal check reads B = Im s - Im r from the factors; only a focal
-    generator pays for ``abcd_from_generator``, whose matrix the
-    FocalPointError carries.
+    value equal to the direct kernel within 1e-10 away from caustics.
+    The caustic guard reads B = Im s - Im r. Below |B| of about 3e-8 the
+    real part of the form is singular in double precision, and the
+    integral raises NonConvergentError.
     """
     f = normal_order(g)
-    if abs(f.s.imag - f.r.imag) < FOCAL_TOL:
-        raise FocalPointError(
-            "focal point: B=0, kernel degenerates to a delta function",
-            matrix=abcd_from_generator(g),
-        )
+    require_off_caustic(f.s.imag - f.r.imag, g, abcd_from_generator)
     ros = f.r / f.s
     rcs = f.r.conjugate() / f.s
     inv_s = 1.0 / f.s

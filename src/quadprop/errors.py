@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
-# A focal check takes its B-like quantity (|B|, or |2B| on the (s, r) route)
-# below this as B = 0, the caustic where a kernel is a delta function.
+# The caustic guard takes |B| below this as B = 0, where a kernel is a
+# delta function.
 FOCAL_TOL = 1e-12
 
 
@@ -14,6 +14,18 @@ class FocalPointError(ValueError):
     def __init__(self, message: str, matrix=None):
         super().__init__(message)
         self.matrix = matrix
+
+
+def require_off_caustic(b, source=None, to_matrix=None) -> None:
+    """The one caustic guard: raise FocalPointError if the map's |B| < FOCAL_TOL.
+
+    The error's matrix, ``to_matrix(source)`` or else ``source``, is built only here.
+    """
+    if abs(b) < FOCAL_TOL:
+        raise FocalPointError(
+            "focal point: B=0, kernel degenerates to a delta function",
+            matrix=source if to_matrix is None else to_matrix(source),
+        )
 
 
 class NonConvergentError(ValueError):

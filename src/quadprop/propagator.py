@@ -12,11 +12,11 @@ symplectic ABCD matrix, where it takes the form
     W(q, Q) = qQ/B - (A/2B) q^2 - (D/2B) Q^2.
 
 W is a classical type-1 generating function: p = dW/dq, P = -dW/dQ
-reproduce exactly the linear map (Q, P) = (Aq + Bp, Cq + Dp). Kernels
-degenerate to delta functions at focal points (B = 0), which raise
-FocalPointError rather than returning a meaningless Gaussian. Closed
-form Gaussian integration applies kernels to wavepackets and composes
-two kernels into one.
+reproduce exactly the linear map (Q, P) = (Aq + Bp, Cq + Dp), and
+``kernel_from_abcd`` is built from ``generating_function``'s coefficients.
+Kernels degenerate to delta functions at focal points (|B| < 1e-12 on
+every route), which raise FocalPointError. Closed form Gaussian
+integration applies kernels to wavepackets and composes two kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FOCAL_TOL, FocalPointError, NonConvergentError
+from .errors import NonConvergentError, require_off_caustic
 from .lie_core import NormalOrderFactors, QuadraticGenerator
 from .symplectic import AbcdMatrix, abcd_from_sr
 
@@ -216,58 +216,41 @@ def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:
         coef_qq   = -(s + s* - r - r*)/(2E)
         coef_QQ   = -(s + s* + r + r*)/(2E)
 
-    Raises FocalPointError when |E| < 1e-12 (B = 0 caustic).
+    Raises FocalPointError when |B| = |Im s - Im r| < 1e-12.
     """
     f.require_unitary()
+    require_off_caustic(f.s.imag - f.r.imag, f, abcd_from_sr)
     e = f.s - f.s.conjugate() - f.r + f.r.conjugate()
-    if abs(e) < FOCAL_TOL:
-        raise FocalPointError(
-            "focal point: B=0, kernel degenerates to a delta function",
-            matrix=abcd_from_sr(f),
-        )
     plus = f.s + f.s.conjugate()
     rsum = f.r + f.r.conjugate()
-    return GaussianKernel(
-        prefactor=cmath.sqrt(1.0 / (np.pi * e)),
-        coef_qQ=2.0 / e,
-        coef_qq=-(plus - rsum) / (2.0 * e),
-        coef_QQ=-(plus + rsum) / (2.0 * e),
-    )
+    return GaussianKernel(cmath.sqrt(1.0 / (np.pi * e)), 2.0 / e,
+                          -(plus - rsum) / (2.0 * e), -(plus + rsum) / (2.0 * e))
+
+
+def _w_coefficients(m: AbcdMatrix) -> tuple[float, float, float]:
+    """1/B, A/(2B), D/(2B) of ``generating_function(m)``, without building it."""
+    require_off_caustic(m.b, m)
+    return 1.0 / m.b, 0.5 * m.a / m.b, 0.5 * m.d / m.b
 
 
 def kernel_from_abcd(m: AbcdMatrix) -> GaussianKernel:
     """Kernel sqrt(1/(2 pi i B)) exp(-i W(q, Q)) from the symplectic matrix.
 
+    The exponent coefficients are -i times those of ``generating_function(m)``.
     The prefactor branch is pinned explicitly: e^{-i pi/4}/sqrt(2 pi B)
     for B > 0 and e^{+i pi/4}/sqrt(2 pi |B|) for B < 0. No phase
     tracking across caustics is attempted.
     """
     m.require_symplectic()
-    if abs(m.b) < FOCAL_TOL:
-        raise FocalPointError(
-            "focal point: B=0, kernel degenerates to a delta function", matrix=m
-        )
+    inv_b, a_over_2b, d_over_2b = _w_coefficients(m)
     mag = 1.0 / math.sqrt(2.0 * np.pi * abs(m.b))
     phase = -np.pi / 4.0 if m.b > 0 else np.pi / 4.0
-    return GaussianKernel(
-        prefactor=mag * cmath.exp(1j * phase),
-        coef_qQ=-1j / m.b,
-        coef_qq=0.5j * m.a / m.b,
-        coef_QQ=0.5j * m.d / m.b,
-    )
+    return GaussianKernel(mag * cmath.exp(1j * phase), -1j * inv_b, 1j * a_over_2b, 1j * d_over_2b)
 
 
 def generating_function(m: AbcdMatrix) -> GeneratingFunctionW:
     """Classical generating function of the map; raises at focal points."""
-    if abs(m.b) < FOCAL_TOL:
-        raise FocalPointError(
-            "focal point: B=0, generating function undefined", matrix=m
-        )
-    return GeneratingFunctionW(
-        inv_b=1.0 / m.b,
-        a_over_2b=0.5 * m.a / m.b,
-        d_over_2b=0.5 * m.d / m.b,
-    )
+    return GeneratingFunctionW(*_w_coefficients(m))
 
 
 def classical_map_from_w(w: GeneratingFunctionW, q: float, Q: float) -> tuple[float, float]:
@@ -279,6 +262,12 @@ def classical_map_from_w(w: GeneratingFunctionW, q: float, Q: float) -> tuple[fl
     p = Q * w.inv_b - 2.0 * w.a_over_2b * q
     P = -q * w.inv_b + 2.0 * w.d_over_2b * Q
     return p, P
+
+
+def _integrate_out(a: complex, u: complex, v: complex):
+    """sqrt(pi/-a) and the y^2, y z, z^2 coefficients of the exponent of
+    int exp(a x^2 + (u y + v z) x) dx = sqrt(pi/-a) exp(-(u y + v z)^2 / 4a), Re a < 0."""
+    return cmath.sqrt(np.pi / -a), -u**2 / (4.0 * a), -u * v / (2.0 * a), -v**2 / (4.0 * a)
 
 
 def convolve(k: GaussianKernel, psi) -> ComplexGaussian:
@@ -298,15 +287,9 @@ def convolve(k: GaussianKernel, psi) -> ComplexGaussian:
         raise NonConvergentError(
             f"combined quadratic form is not integrable: Re = {a_q.real!r}"
         )
-    quad = k.coef_QQ - k.coef_qQ**2 / (4.0 * a_q)
-    lin = -k.coef_qQ * psi.lin / (2.0 * a_q)
-    amp = (
-        k.prefactor
-        * psi.amp
-        * cmath.sqrt(np.pi / -a_q)
-        * cmath.exp(-psi.lin**2 / (4.0 * a_q))
-    )
-    return ComplexGaussian(quad=quad, lin=lin, amp=amp)
+    root, quad, lin, const = _integrate_out(a_q, k.coef_qQ, psi.lin)
+    amp = k.prefactor * psi.amp * root * cmath.exp(const)
+    return ComplexGaussian(quad=k.coef_QQ + quad, lin=lin, amp=amp)
 
 
 def compose_kernels(k2: GaussianKernel, k1: GaussianKernel) -> GaussianKernel:
@@ -317,14 +300,10 @@ def compose_kernels(k2: GaussianKernel, k1: GaussianKernel) -> GaussianKernel:
     Raises FocalPointError when the composed map itself is focal.
     """
     a = k1.coef_QQ + k2.coef_qq
-    if abs(a) < FOCAL_TOL:
-        raise FocalPointError("focal point: composed kernel degenerates", matrix=None)
-    return GaussianKernel(
-        prefactor=k1.prefactor * k2.prefactor * cmath.sqrt(np.pi / -a),
-        coef_qQ=-k1.coef_qQ * k2.coef_qQ / (2.0 * a),
-        coef_qq=k1.coef_qq - k1.coef_qQ**2 / (4.0 * a),
-        coef_QQ=k2.coef_QQ - k2.coef_qQ**2 / (4.0 * a),
-    )
+    # B of the composed map, whose kernel has coef_qQ = -c1 c2 / 2a = -i/B
+    require_off_caustic(2j * a / (k1.coef_qQ * k2.coef_qQ))
+    root, qq, qQ, QQ = _integrate_out(a, k1.coef_qQ, k2.coef_qQ)
+    return GaussianKernel(k1.prefactor * k2.prefactor * root, qQ, k1.coef_qq + qq, k2.coef_QQ + QQ)
 
 
 def named_generator(kind: str, m: float, omega: float, t: float) -> QuadraticGenerator:

@@ -89,7 +89,7 @@ class TestKernel:
     def test_focal_point_exit_code(self, capsys):
         code, _, err = _run(capsys, ["kernel", "0", "0.6931", "0", "0", "0"])
         assert code == 3
-        assert "focal point: B=0" in err
+        assert err == "focal point: B=0, kernel degenerates to a delta function\n"
 
     def test_check_flag_reports_difference(self, capsys):
         code, out, _ = _run(capsys, ["kernel", "1.5708", "0", "1.5708", "1", "1", "--check"])

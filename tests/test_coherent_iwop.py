@@ -194,10 +194,6 @@ class TestKernelViaIwop:
         assert got == pytest.approx(OSC_KERNEL_1_TO_1, abs=1e-12)
         assert got == pytest.approx(ref, abs=1e-12)
 
-    def test_focal_point_propagates(self):
-        with pytest.raises(FocalPointError):
-            kernel_via_iwop(QuadraticGenerator(0.0, math.log(2.0), 0.0), 0.0, 0.0)
-
 
 def test_focal_error_does_not_need_unitary_factors():
     # (0, 20, 0) is focal (B = 0), and its rounded (s, r) fail the unitarity

@@ -2,11 +2,12 @@
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from quadprop.coherent_iwop import CoherentLabel, sandwich
+from quadprop.coherent_iwop import CoherentLabel, kernel_via_iwop, sandwich
 from quadprop.errors import FocalPointError, NonConvergentError
 from quadprop.lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
 from quadprop.propagator import (
@@ -50,12 +51,6 @@ class TestKernelFromSr:
         for q, Q in [(0.3, -1.2), (1.0, 1.0), (-2.0, 0.5)]:
             assert k.evaluate(q, Q) == pytest.approx(k2.evaluate(q, Q), abs=1e-14)
 
-    def test_pure_squeeze_is_focal(self):
-        with pytest.raises(FocalPointError) as err:
-            kernel_from_sr(NormalOrderFactors(1.25 + 0j, -0.75 + 0j))
-        assert err.value.matrix is not None
-        assert err.value.matrix.b == pytest.approx(0.0)
-
     def test_free_particle_coefficients(self):
         k = kernel_from_sr(NormalOrderFactors(1.0 + 0.5j, -0.5j))
         assert k.coef_qQ == pytest.approx(-1j, abs=1e-14)
@@ -93,11 +88,6 @@ class TestKernelFromAbcd:
         k = kernel_from_abcd(AbcdMatrix(1.0, -1.0, 0.0, 1.0))
         assert cmath.phase(k.prefactor) == pytest.approx(np.pi / 4, abs=1e-14)
 
-    def test_focal_point(self):
-        with pytest.raises(FocalPointError) as err:
-            kernel_from_abcd(AbcdMatrix(2.0, 0.0, 0.0, 0.5))
-        assert err.value.matrix == AbcdMatrix(2.0, 0.0, 0.0, 0.5)
-
     def test_exponent_structure_random(self):
         rng = np.random.default_rng(11)
         for g in random_generators(rng, 300, scale=2.0):
@@ -105,9 +95,9 @@ class TestKernelFromAbcd:
             if abs(m.b) < 1e-2:
                 continue
             k = kernel_from_abcd(m)
-            assert k.coef_qQ == pytest.approx(-1j / m.b, abs=1e-12)
-            assert k.coef_qq == pytest.approx(0.5j * m.a / m.b, abs=1e-12)
-            assert k.coef_QQ == pytest.approx(0.5j * m.d / m.b, abs=1e-12)
+            w = generating_function(m)  # the exponent is -i W, term by term
+            assert (k.coef_qQ, k.coef_qq, k.coef_QQ) == (
+                -1j * w.inv_b, -1j * -w.a_over_2b, -1j * -w.d_over_2b)
             assert abs(k.prefactor) == pytest.approx(
                 1.0 / math.sqrt(2 * np.pi * abs(m.b)), abs=1e-12
             )
@@ -131,10 +121,6 @@ class TestGeneratingFunction:
         m = abcd_from_generator(named_generator("harmonic", 1.0, 1.0, np.pi / 4))
         w = generating_function(m)
         assert w.evaluate(1.0, 1.0) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
-
-    def test_focal_point(self):
-        with pytest.raises(FocalPointError):
-            generating_function(AbcdMatrix(2.0, 0.0, 0.0, 0.5))
 
 
 class TestClassicalMap:
@@ -263,11 +249,6 @@ class TestComposeKernels:
         assert k12.coef_qQ == pytest.approx(ref.coef_qQ, abs=1e-14)
         assert k12.prefactor == pytest.approx(ref.prefactor, abs=1e-14)
 
-    def test_focal_composition(self):
-        quarter = kernel_from_abcd(OSC_QUARTER)
-        with pytest.raises(FocalPointError):
-            compose_kernels(quarter, quarter)
-
 
 class TestNamedGenerator:
     def test_harmonic_assignment(self):
@@ -338,6 +319,42 @@ def test_batch_evaluation_independent_of_partitioning():
         _assert_same_bits([k.evaluate(int(q[i]), int(Q[i])) for i in ints], whole[ints])
     assert np.isnan(k_grow.evaluate(0.0, 3.45))
     assert not np.isfinite(k_abcd.evaluate(1e200, 1.0))
+
+
+FOCAL_ABCD = AbcdMatrix(2.0, 0.0, 0.0, 0.5)  # a pure squeeze, B = 0
+QUARTER_K = kernel_from_abcd(OSC_QUARTER)
+# route: (its call at B = 0, that error's matrix, its call on a map with B = b exactly);
+# a free particle's alpha is B, and a quarter turn, then (b, 1, -1, 0), has B = b
+FOCAL_ROUTES = {
+    "kernel_from_sr": (
+        lambda: kernel_from_sr(NormalOrderFactors(1.25 + 0j, -0.75 + 0j)), FOCAL_ABCD,
+        lambda b: kernel_from_sr(normal_order(QuadraticGenerator(b, 0, 0)))),
+    "kernel_from_abcd": (lambda: kernel_from_abcd(FOCAL_ABCD), FOCAL_ABCD,
+                         lambda b: kernel_from_abcd(AbcdMatrix(1.0, b, 0.0, 1.0))),
+    "generating_function": (lambda: generating_function(FOCAL_ABCD), FOCAL_ABCD,
+                            lambda b: generating_function(AbcdMatrix(1.0, b, 0.0, 1.0))),
+    "kernel_via_iwop": (lambda: kernel_via_iwop(QuadraticGenerator(0, math.log(2.0), 0), 0, 0),
+                        FOCAL_ABCD, lambda b: kernel_via_iwop(QuadraticGenerator(b, 0, 0), 0, 0)),
+    "compose_kernels": (lambda: compose_kernels(QUARTER_K, QUARTER_K), None, lambda b:
+                        compose_kernels(kernel_from_abcd(AbcdMatrix(b, 1, -1, 0)), QUARTER_K)),
+}
+
+
+@pytest.mark.parametrize("route", FOCAL_ROUTES)
+def test_one_caustic_guard(route):
+    at_zero, matrix, with_b = FOCAL_ROUTES[route]
+    with pytest.raises(FocalPointError) as err:
+        at_zero()
+    assert type(err.value) is FocalPointError and err.value.matrix == matrix
+    assert str(err.value) == "focal point: B=0, kernel degenerates to a delta function"
+    for b in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12):
+        if abs(b) < 1e-12:
+            pytest.raises(FocalPointError, with_b, b)
+        elif route == "kernel_via_iwop":
+            # past the guard, the real part of its 4-d form is singular to |B| of about 3e-8
+            pytest.raises(NonConvergentError, with_b, b)
+        else:
+            assert all(map(cmath.isfinite, astuple(with_b(b))))
 
 
 NOT_UNITARY = NormalOrderFactors(2.0 + 0j, 0j)

@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=-40.0)
     p.add_argument("--x-max", type=float, default=40.0)
     p.add_argument("--n-points", type=int, default=4096)
-    p.add_argument("--steps", type=int, default=20,
-                   help="fourth-order steps per schedule entry, each five Crank-Nicolson sub-steps")
+    p.add_argument("--steps", type=int, default=25,
+                   help="fourth-order Pade steps per schedule entry, two shifted Cayley solves each")
     add_output(p)
 
     p = sub.add_parser("compose", help="compose a schedule into one ABCD matrix")

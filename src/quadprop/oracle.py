@@ -12,15 +12,15 @@ Two deliberately dumb routes that know nothing about the closed forms:
   one unit of flow parameter per schedule entry, validating kernels and
   wavepacket convolution end to end. H is the pentadiagonal, exactly
   Hermitian fourth-order central-difference discretization, so the
-  spatial error is O(h^4). With A = 1 + i ds H/2 each Cayley sub-step is
-  psi' = A^-1 (2 - A) psi = 2 A^-1 psi - psi, and Suzuki's symmetric
-  composition of five such sub-steps, one of them backward, makes a step
-  of length tau whose time error is O(tau^4). Each entry factors A
-  twice, once per sub-step length, as L D U (unit triangular factors
-  with two off-diagonals) without pivoting, which is stable because
-  Re A = I puts every pivot at real part >= 1 for either sign of ds. A
-  sub-step is then two BLAS ztbsv sweeps (scipy's one use), through L
-  and U, and two vector updates.
+  spatial error is O(h^4). A step of length tau applies the diagonal
+  Pade (2,2) approximant of exp(-i tau H), which is unitary and whose
+  time error is O(tau^4), in product form: two shifted Cayley sub-steps
+  psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi with
+  M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M twice,
+  once per shift, as L D U (unit triangular factors with two
+  off-diagonals) without pivoting, which is stable because Re M = 3 I
+  puts every pivot at real part >= 3. A sub-step is then two BLAS ztbsv
+  sweeps (scipy's one use), through L and U, and two vector updates.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ class Grid:
 _EDGE_AMPLITUDE_LIMIT = 1e-6
 _BAND_CHUNK = 512
 _SWEEP_BLOCK = 64
-# Suzuki's fractal composition (M. Suzuki, Phys. Lett. A 146 (1990) 319):
-# for a symmetric second-order step S, S(p t) S(p t) S((1 - 4p) t) S(p t) S(p t)
-# is fourth order in t. The middle sub-step runs backward, 1 - 4p < 0.
-_SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+# exp(z) ~ (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12), the diagonal Pade (2,2)
+# approximant, is the product of (s + z) / (s - z) over s = 3 -+ i sqrt(3)
+# (W. van Dijk and F. M. Toyama, Phys. Rev. E 75 (2007) 036707).
+_PADE_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
 
 
 def _require_pivots(pivots: np.ndarray) -> None:
@@ -184,8 +184,9 @@ def _require_pivots(pivots: np.ndarray) -> None:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
 
 
-def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, ds: float, bands: np.ndarray):
-    """Pivot-free A = L D U of the Cayley matrix A = 1 + i ds H/2, in place.
+def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, shift: complex, tau: float,
+        bands: np.ndarray):
+    """Pivot-free M = L D U of the shifted Cayley matrix M = shift + i tau H, in place.
 
     H is ``_hamiltonian_bands(g, x, h)``, built and checked for infs and
     NaNs ``_BAND_CHUNK`` rows at a time as the sweep reaches them, so no
@@ -197,25 +198,26 @@ def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, ds: float, bands: np.nda
     Unit diagonals are never read, so they share one slot, ``bands[2::5]``,
     which holds the pivots D. Returns the views D, U and L.
 
-    Elimination without row exchanges is safe because A's Hermitian part
-    is the identity, for either sign of ds, and every Schur complement
-    inherits a Hermitian part >= I: for S = A22 - A21 A11^-1 A12 and any
-    x, z = (-A11^-1 A12 x, x) gives Re x^H S x = Re z^H A z = |z|^2 >= |x|^2.
-    Every pivot is the leading entry of such a complement, so Re d >= 1
-    and none can vanish. The recurrence runs on Python complex numbers,
-    which is faster than on numpy scalars, ``_SWEEP_BLOCK`` rows at a time,
-    so that only one block's objects are alive. Raises ValueError if a band
-    entry is not finite, and LinAlgError, without a numpy warning, if a
-    pivot is zero or non-finite, which takes entries so large that
-    rounding swamps Re d >= 1.
+    Elimination without row exchanges is safe because M's Hermitian part
+    is (Re shift) I and every Schur complement inherits a Hermitian part
+    >= (Re shift) I: for S = M22 - M21 M11^-1 M12 and any x,
+    z = (-M11^-1 M12 x, x) gives Re x^H S x = Re z^H M z >= Re shift |x|^2.
+    Every pivot is the leading entry of such a complement, so
+    Re d >= Re shift (3 for both Pade shifts) and none can vanish. The
+    recurrence runs on Python complex numbers, which is faster than on
+    numpy scalars, ``_SWEEP_BLOCK`` rows at a time, so that only one
+    block's objects are alive. Raises ValueError if a band entry is not
+    finite, and LinAlgError, without a numpy warning, if a pivot is zero
+    or non-finite, which takes entries so large that rounding swamps
+    Re d >= Re shift.
     """
     n = x.size
-    c = 0.5j * ds
+    c = 1j * tau
     pivots = bands[2::5]
-    # row k, with A[k+j, k] = -conj(A[k, k+j]), e = d U[k, k+1] and f = d L[k+1, k]:
-    #   d[k] = A[k, k] - L[k, k-1] e[k-1] + |A[k-2, k]|^2 / d[k-2]
-    #   e[k] = A[k, k+1] - L[k, k-1] A[k-1, k+1]
-    #   f[k] = A[k+1, k] - A[k+1, k-1] U[k-1, k]
+    # row k, with M[k+j, k] = -conj(M[k, k+j]), e = d U[k, k+1] and f = d L[k+1, k]:
+    #   d[k] = M[k, k] - L[k, k-1] e[k-1] + |M[k-2, k]|^2 / d[k-2]
+    #   e[k] = M[k, k+1] - L[k, k-1] M[k-1, k+1]
+    #   f[k] = M[k+1, k] - M[k+1, k-1] U[k-1, k]
     # U[k, k+1] and L[k+1, k] of the last row are zero and lie where
     # neither sweep reads
     e = l = u = a2_p = r_p = r_pp = 0j
@@ -228,7 +230,7 @@ def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, ds: float, bands: np.nda
                 if not (np.isfinite(diag).all() and np.isfinite(up1).all()
                         and np.isfinite(up2).all()):
                     raise ValueError("Hamiltonian bands must not contain infs or NaNs")
-                a0s = 1.0 + c * diag[:_BAND_CHUNK]
+                a0s = shift + c * diag[:_BAND_CHUNK]
                 a1s, a2s = c * up1[:_BAND_CHUNK], c * up2[:_BAND_CHUNK]
                 for lo in range(top, top + a0s.size, _SWEEP_BLOCK):
                     i, hi = lo - top, min(lo + _SWEEP_BLOCK, n)
@@ -285,24 +287,23 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     """Fourth-order Crank-Nicolson evolution of a grid state through a schedule.
 
     Each schedule entry is one unit of flow parameter split into ``steps``
-    steps of tau = 1/steps. A step is Suzuki's composition of five Cayley
-    sub-steps S(p tau) S(p tau) S((1 - 4p) tau) S(p tau) S(p tau), with
-    p = 1/(4 - 4^(1/3)), whose middle ds is negative. The Cayley sub-step
-    psi' = A^-1 (1 - i ds H/2) psi with A = 1 + i ds H/2 is exactly unitary
-    for the Hermitian discretization used, so the norm is conserved to
-    solver accuracy. Since 1 - i ds H/2 = 2 - A, it is psi' = 2 A^-1 psi - psi.
-    The spatial error is O(h^4) and the time error O(tau^4).
+    steps of tau = 1/steps. A step applies the diagonal Pade (2,2)
+    approximant of exp(-i tau H) as two shifted Cayley sub-steps
+    psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi, M = s + i tau H,
+    for s = 3 - i sqrt(3) and then s = 3 + i sqrt(3). The pair is exactly
+    unitary for the Hermitian discretization used, so the norm is
+    conserved to solver accuracy; one sub-step alone can scale a mode by
+    up to sqrt(3). The spatial error is O(h^4), the time error O(tau^4).
 
-    Each entry factors A twice, at ds = p tau and at ds = (1 - 4p) tau, as
-    A = L D U without pivoting (every pivot has real part >= 1 for either
-    sign of ds, see ``ldu``), with L unit lower and U unit upper triangular
-    with two off-diagonals. A sub-step then solves L y = psi and
-    U z = 2 D^-1 y with one BLAS ztbsv sweep each and sets psi' = z - psi.
-    Both factorizations, the state and the work vector are allocated once
-    per call, before anything else.
+    Each entry factors M once per shift as M = L D U without pivoting
+    (every pivot has real part >= 3, see ``ldu``), with L unit lower and
+    U unit upper triangular with two off-diagonals. A sub-step then
+    solves L y = psi and U z = 2 s D^-1 y with one BLAS ztbsv sweep each
+    and sets psi' = z - psi. Both factorizations, the state and the work
+    vector are allocated once per call, before anything else.
 
-    Every Cayley sub-step checks the state for infs and NaNs and its two
-    edge amplitudes.
+    Every sub-step checks the state for infs and NaNs and its two edge
+    amplitudes.
 
     Raises ValueError on non-finite amplitudes or coefficients,
     LinAlgError if a pivot is zero or non-finite, and BoundaryLeakError
@@ -311,7 +312,7 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n = psi0.n_points
-    # one allocation, made before any other, for both stages' factors, the
+    # one allocation, made before any other, for both shifts' factors, the
     # state and the work vector: separate arrays left more heap resident
     buf = np.zeros(12 * n + 4, dtype=complex)
     bands = buf[:10 * n + 4].reshape(2, 5 * n + 2)
@@ -320,18 +321,17 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
-        outer = ldu(g, x, h, _SUZUKI_P * tau, bands[0])
-        inner = ldu(g, x, h, (1.0 - 4.0 * _SUZUKI_P) * tau, bands[1])
-        for pivots, _, _ in (outer, inner):
-            np.divide(2.0, pivots, out=pivots)
+        factors = [ldu(g, x, h, shift, tau, b) for shift, b in zip(_PADE_SHIFTS, bands)]
+        for shift, (pivots, _, _) in zip(_PADE_SHIFTS, factors):
+            np.divide(2.0 * shift, pivots, out=pivots)
         for _ in range(steps):
-            for two_over_d, upper, lower in (outer, outer, inner, outer, outer):
+            for two_s_over_d, upper, lower in factors:
                 # a sum that overflows is re-checked entry by entry
                 if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
                     raise ValueError("grid amplitudes must not contain infs or NaNs")
                 np.copyto(work, psi)
                 work = ztbsv(2, lower, work, lower=1, diag=1, overwrite_x=1)
-                work *= two_over_d
+                work *= two_s_over_d
                 work = ztbsv(2, upper, work, diag=1, overwrite_x=1)
                 work -= psi
                 psi, work = work, psi

@@ -284,8 +284,8 @@ def oracle_suite(rng) -> dict:
     fock = oracle.FockTruncation.build(60)
     checks["fock_commutator"] = _check(fock.commutator_residual(), 1e-12)
 
-    # Norm conservation over 10^3 Crank-Nicolson sub-steps (200 fourth-order
-    # steps), with and without the cross term.
+    # Norm conservation over 200 fourth-order Pade steps (400 shifted Cayley
+    # solves; only each step's pair is unitary), with and without the cross term.
     worst = 0.0
     for g in [QuadraticGenerator(1.0, 0.0, 0.0), QuadraticGenerator(0.8, 0.3, 1.2)]:
         grid = oracle.Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))

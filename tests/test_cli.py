@@ -217,14 +217,15 @@ class TestEvolve:
         footer = out_path.read_text().strip().splitlines()[-1]
         assert float(footer.split(",")[1]) < 5e-3
 
-    def test_default_steps_reach_1e_6_on_the_reference_schedule(self, tmp_path):
-        # the default 20 fourth-order steps per entry on the 4096-point grid
+    def test_default_steps_reach_3e_7_on_the_reference_schedule(self, tmp_path):
+        # the default 25 fourth-order steps per entry on the 4096-point grid
+        # read 2.6e-7
         sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
         out_path = tmp_path / "ref.csv"
         assert cli.main(["evolve", sched, "--center-q", "0.3", "--center-p", "0.2",
                          "-o", str(out_path)]) == 0
         footer = out_path.read_text().strip().splitlines()[-1]
-        assert float(footer.split(",")[1]) <= 1e-6
+        assert float(footer.split(",")[1]) <= 3e-7
 
 
 class TestCompose:

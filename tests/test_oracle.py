@@ -25,35 +25,38 @@ from quadprop.propagator import (
 from quadprop.symplectic import _expm, abcd_from_generator, compose_schedule
 from quadprop.verify import random_generators
 
+# the roots of the Pade (2,2) denominator 1 - z/2 + z^2/12, written out
+# here so that the references do not share the oracle's constant
+_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
+
 
 def _banded_substeps(schedule, grid, steps):
-    """Suzuki-composed Cayley stepping that solves the banded system afresh on every sub-step.
+    """Pade (2,2) Cayley stepping that solves the banded system afresh on every sub-step.
 
-    Each of the ``steps`` steps per entry is five Cayley sub-steps of ds
-    p tau, p tau, (1 - 4p) tau, p tau and p tau. Yields the state after
-    each sub-step.
+    Each of the ``steps`` steps per entry is two shifted Cayley sub-steps
+    psi' = (s - i tau H) (s + i tau H)^-1 psi, one for each s in ``_SHIFTS``
+    in turn. Yields the state after each sub-step.
     """
     from scipy.linalg import solve_banded
 
-    p = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+    tau = 1.0 / steps
     psi = grid.amplitudes.copy()
     for g in schedule:
         diag, up1, up2 = _hamiltonian_bands(g, grid.x, grid.spacing)
-        cayley = []
-        for ds in (p * (1.0 / steps), (1.0 - 4.0 * p) * (1.0 / steps)):
-            # A = 1 + i ds H/2, two bands each side in solve_banded storage
+        shifted = []
+        for s in _SHIFTS:
+            # M = s + i tau H, two bands each side in solve_banded storage
             ab = np.zeros((5, psi.size), dtype=complex)
-            ab[0, 2:] = 0.5j * ds * up2
-            ab[1, 1:] = 0.5j * ds * up1
-            ab[2, :] = 1.0 + 0.5j * ds * diag
-            ab[3, :-1] = 0.5j * ds * up1.conjugate()
-            ab[4, :-2] = 0.5j * ds * up2.conjugate()
-            cayley.append(ab)
-        outer, inner = cayley
+            ab[0, 2:] = 1j * tau * up2
+            ab[1, 1:] = 1j * tau * up1
+            ab[2, :] = s + 1j * tau * diag
+            ab[3, :-1] = 1j * tau * up1.conjugate()
+            ab[4, :-2] = 1j * tau * up2.conjugate()
+            shifted.append(ab)
         for _ in range(steps):
-            for ab in (outer, outer, inner, outer, outer):
-                # (1 - i ds H/2) psi = 2 psi - A psi
-                rhs = (2.0 - ab[2]) * psi
+            for s, ab in zip(_SHIFTS, shifted):
+                # (s - i tau H) psi = 2 s psi - M psi
+                rhs = (2.0 * s - ab[2]) * psi
                 for j in (1, 2):
                     rhs[:-j] -= ab[2 - j, j:] * psi[j:]
                     rhs[j:] -= ab[2 + j, :-j] * psi[:-j]
@@ -180,20 +183,20 @@ class TestGridEvolve:
                     QuadraticGenerator(0.6, 0.1, 0.9)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
         out = grid_evolve(schedule, grid, steps=steps)
-        # The gap is both solvers' rounding. Against a long-double run of the
-        # same stepping, grid_evolve reads up to 1.4e-14 (steps=7: 105
-        # sub-steps reuse factors whose entries carry about 1 ulp each; with
-        # correctly rounded factors it reads 4.0e-15) and solve_banded up to
-        # 8.1e-15 over steps 1-15. A sub-step length off by 1e-12 reads 9e-13.
-        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, steps)).max() <= 2e-14
+        # The gap is both solvers' rounding: 3.5e-15, 4.5e-15 and 5.7e-15 at
+        # steps 1/3/7 (6, 18 and 42 sub-steps, tau up to 1). One shift whose
+        # real part is off by 1e-12 reads 2.5e-13 to 3.9e-13.
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, steps)).max() <= 1e-14
 
     @pytest.mark.parametrize("center_p, steps", [(3.0, 4), (3.0, 10), (-3.0, 4), (-3.0, 10)],
-                             ids=["right-edge-sub-steps-20", "right-edge-sub-steps-50",
-                                  "left-edge-sub-steps-20", "left-edge-sub-steps-50"])
+                             ids=["right-edge-sub-steps-8", "right-edge-sub-steps-20",
+                                  "left-edge-sub-steps-8", "left-edge-sub-steps-20"])
     def test_boundary_leak_caught_at_the_substep_it_occurs(self, center_p, steps):
         # The message must show psi's edge amplitude after the first
         # Cayley sub-step of the reference stepping whose edge passes 1e-6;
-        # ``steps`` steps are 5 * steps sub-steps.
+        # ``steps`` steps are 2 * steps sub-steps. The leak shows after
+        # sub-step 2 of 8 (a whole step) and 7 of 20 (between a step's two
+        # shifted solves).
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, center_p, 0.7),
                                     x_min=-6.0, x_max=6.0, n_points=512)
         schedule = [named_generator("free", 1.0, 0.0, 1.0)]
@@ -201,7 +204,7 @@ class TestGridEvolve:
             edge = max(abs(psi[0]), abs(psi[-1]))
             if edge > 1e-6:
                 break
-        assert 1 < k < 5 * steps
+        assert 1 < k < 2 * steps
         with pytest.raises(BoundaryLeakError, match=f"^edge amplitude {edge:.3e} exceeds"):
             grid_evolve(schedule, grid, steps=steps)
 
@@ -217,39 +220,42 @@ class TestGridEvolve:
         ids=["pure-squeeze", "stiff-free"],
     )
     def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points):
-        # the squeeze's edge off-diagonals exceed its unit diagonal, where a
+        # the squeeze's edge off-diagonals exceed its diagonal, where a
         # partial-pivoting band LU (zgbtrf) exchanges rows; the free particle
-        # has |ds| H/2 of about 1600 in the backward sub-step
+        # has tau H of about 5000 against |s| = 2 sqrt(3)
         schedule = [QuadraticGenerator(*g)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=n_points)
         out = grid_evolve(schedule, grid, steps=2)
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
-    def test_cayley_pivots_have_real_part_at_least_one(self):
-        # Re A = I for either sign of ds, so the backward sub-step's
-        # factorization needs no pivoting either
+    def test_cayley_pivots_have_real_part_at_least_three(self):
+        # Re M = 3 I for both Pade shifts, so neither factorization needs
+        # pivoting
         rng = np.random.default_rng(5)
         for g in random_generators(rng, 100, scale=3.0):
             n = int(rng.choice([512, 1024, 4096]))
             steps = int(rng.choice([1, 10, 100, 1000]))
             x = np.linspace(-40.0, 40.0, n)
-            for ds in (1.0 / steps, -1.0 / steps):
-                pivots, _, _ = ldu(g, x, x[1] - x[0], ds, np.zeros(5 * n + 2, dtype=complex))
-                assert pivots.real.min() >= 1.0
+            for shift in _SHIFTS:
+                pivots, _, _ = ldu(g, x, x[1] - x[0], shift, 1.0 / steps,
+                                   np.zeros(5 * n + 2, dtype=complex))
+                assert pivots.real.min() >= 3.0
 
     def test_cayley_factorizations_reproduce_the_matrix(self):
         g = QuadraticGenerator(0.8, 0.3, 1.2)
         x = np.linspace(-40.0, 40.0, 512)
         diag, up1, up2 = _hamiltonian_bands(g, x, x[1] - x[0])
         one = np.eye(x.size)
-        for ds in (0.01, -0.01):
-            c = 0.5j * ds
-            a = (np.diag(1.0 + c * diag) + np.diag(c * up1, 1) + np.diag(c * up2, 2)
+        tau = 0.005
+        c = 1j * tau
+        for shift in _SHIFTS:
+            m = (np.diag(shift + c * diag) + np.diag(c * up1, 1) + np.diag(c * up2, 2)
                  + np.diag(c * up1.conjugate(), -1) + np.diag(c * up2.conjugate(), -2))
-            d, upper, lower = ldu(g, x, x[1] - x[0], ds, np.zeros(5 * x.size + 2, dtype=complex))
+            d, upper, lower = ldu(g, x, x[1] - x[0], shift, tau,
+                                  np.zeros(5 * x.size + 2, dtype=complex))
             l = one + np.diag(lower[1, :-1], -1) + np.diag(lower[2, :-2], -2)
             u = one + np.diag(upper[1, 1:], 1) + np.diag(upper[0, 2:], 2)
-            assert np.abs(l @ np.diag(d) @ u - a).max() <= 1e-15
+            assert np.abs(l @ np.diag(d) @ u - m).max() <= 1e-15
 
     def test_nan_amplitude_rejected(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)

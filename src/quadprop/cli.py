@@ -44,8 +44,11 @@ def _fmt(x: float) -> str:
     return "%.12e" % x
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)} {_fmt(z.imag)}"
+def _fmt_value(v) -> str:
+    """A complex value as ``re im``, an int as a plain number, a float as ``_fmt``."""
+    if isinstance(v, complex):
+        return f"{_fmt(v.real)} {_fmt(v.imag)}"
+    return str(v) if isinstance(v, int) else _fmt(v)
 
 
 def _csv_blocks(*columns):
@@ -77,13 +80,33 @@ def _json_dump(obj) -> str:
 def _require_finite(named) -> None:
     """Raise ValueError naming each non-finite value of the (name, value) pairs.
 
-    None values are skipped. ``decompose`` and ``kernel`` call it in text
-    and JSON mode alike, so that the error names the fields; the JSON
-    encoder's allow_nan=False only backs it up.
+    None values are skipped. ``decompose``, ``kernel`` and ``compose`` call
+    it in text and JSON mode alike, so that the error names the fields; the
+    JSON encoder's allow_nan=False only backs it up.
     """
     bad = [name for name, v in named if v is not None and not cmath.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite output: {', '.join(bad)}")
+
+
+def _report(args, rows) -> None:
+    """Write the (name, value) rows as ``name = value`` text lines, or as JSON.
+
+    In JSON, A-D go under ``abcd`` with lowercase keys, complex values
+    become ``{"re", "im"}``, and keys are sorted.
+    """
+    if not args.json:
+        _emit(args, [f"{name:<19} = {_fmt_value(v)}\n" for name, v in rows])
+        return
+    payload = {}
+    for name, v in rows:
+        if isinstance(v, complex):
+            v = {"re": v.real, "im": v.imag}
+        if name in ("A", "B", "C", "D"):
+            payload.setdefault("abcd", {})[name.lower()] = v
+        else:
+            payload[name] = v
+    _emit(args, [_json_dump(payload)])
 
 
 def cmd_decompose(args) -> int:
@@ -101,23 +124,7 @@ def cmd_decompose(args) -> int:
     _require_finite(rows)
     f.require_unitary()
     m.require_symplectic()
-    if args.json:
-        payload = {
-            "tau": {"re": p.tau.real, "im": p.tau.imag},
-            "sigma": p.sigma,
-            "delta_sq": p.delta_sq,
-            "s": {"re": f.s.real, "im": f.s.imag},
-            "r": {"re": f.r.real, "im": f.r.imag},
-            "abcd": {"a": m.a, "b": m.b, "c": m.c, "d": m.d},
-            "residual_unitarity": res_u,
-            "residual_symplectic": res_s,
-        }
-        _emit(args, [_json_dump(payload)])
-    else:
-        _emit(args, [
-            f"{name:<19} = {_fmt_complex(v) if isinstance(v, complex) else _fmt(v)}\n"
-            for name, v in rows
-        ])
+    _report(args, rows)
     return EXIT_OK
 
 
@@ -134,7 +141,7 @@ def cmd_kernel(args) -> int:
             payload["check_diff"] = diff
         _emit(args, [_json_dump(payload)])
     else:
-        lines = [_fmt_complex(value)]
+        lines = [_fmt_value(value)]
         if diff is not None:
             lines.append(f"check_diff = {_fmt(diff)}")
         _emit(args, ["\n".join(lines) + "\n"])
@@ -173,28 +180,12 @@ def cmd_compose(args) -> int:
     schedule = load_schedule(args.schedule)
     total = compose_schedule(schedule)
     f = sr_from_abcd(total)
-    res = total.det() - 1.0
-    if args.json:
-        payload = {
-            "abcd": {"a": total.a, "b": total.b, "c": total.c, "d": total.d},
-            "s": {"re": f.s.real, "im": f.s.imag},
-            "r": {"re": f.r.real, "im": f.r.imag},
-            "residual_symplectic": res,
-            "steps": len(schedule),
-        }
-        _emit(args, [_json_dump(payload)])
-    else:
-        lines = [
-            f"steps               = {len(schedule)}",
-            f"A                   = {_fmt(total.a)}",
-            f"B                   = {_fmt(total.b)}",
-            f"C                   = {_fmt(total.c)}",
-            f"D                   = {_fmt(total.d)}",
-            f"s                   = {_fmt_complex(f.s)}",
-            f"r                   = {_fmt_complex(f.r)}",
-            f"residual_symplectic = {_fmt(res)}",
-        ]
-        _emit(args, ["\n".join(lines) + "\n"])
+    rows = [
+        ("steps", len(schedule)), ("A", total.a), ("B", total.b), ("C", total.c),
+        ("D", total.d), ("s", f.s), ("r", f.r), ("residual_symplectic", total.det() - 1.0),
+    ]
+    _require_finite(rows)
+    _report(args, rows)
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ __all__ = [
     "grid_evolve",
 ]
 
-DEFAULT_FOCK_DIM = 60
+FOCK_DIM = 60
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,20 @@ class FockTruncation:
         return float(np.abs(comm[:n, :n]).max())
 
 
-def fock_unitary_direct(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> np.ndarray:
+def fock_unitary_direct(g: QuadraticGenerator) -> np.ndarray:
     """Single matrix exponential of tau K+ + i sigma K0 - tau* K- (truncated).
 
-    Computed by ``symplectic._expm``. Trustworthy on levels well below
-    ``dim`` for coefficient magnitudes up to ~1 (truncation-error regime).
+    Computed by ``symplectic._expm`` on the lowest ``FOCK_DIM`` levels.
+    Trustworthy on levels well below ``FOCK_DIM`` for coefficient
+    magnitudes up to ~1 (truncation-error regime).
     """
-    fock = FockTruncation.build(dim)
+    fock = FockTruncation.build(FOCK_DIM)
     p = to_su11(g)
     gen = p.tau * fock.k_plus + 1j * p.sigma * fock.k_zero - p.tau.conjugate() * fock.k_minus
     return _expm(gen)
 
 
-def fock_unitary_ordered(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> np.ndarray:
+def fock_unitary_ordered(g: QuadraticGenerator) -> np.ndarray:
     """Three-factor normal-ordered product exp(-(r/s)K+) diag exp((r*/s)K-).
 
     The middle factor is diagonal with entries s^{-(n+1/2)} on level n
@@ -108,10 +109,10 @@ def fock_unitary_ordered(g: QuadraticGenerator, dim: int = DEFAULT_FOCK_DIM) -> 
     ``symplectic._expm``. Agreement with ``fock_unitary_direct``
     certifies the (s, r) closed form.
     """
-    fock = FockTruncation.build(dim)
+    fock = FockTruncation.build(FOCK_DIM)
     f = normal_order(g)
     log_s = cmath.log(f.s)
-    middle = np.diag(np.exp(-(np.arange(dim) + 0.5) * log_s))
+    middle = np.diag(np.exp(-(np.arange(FOCK_DIM) + 0.5) * log_s))
     left = _expm(-(f.r / f.s) * fock.k_plus)
     right = _expm((f.r.conjugate() / f.s) * fock.k_minus)
     return left @ middle @ right

@@ -18,11 +18,61 @@ from quadprop import cli
 
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
 
+# The exact reports of `decompose -1.5 0.25 0.75` and of compose on COMPOSE_SCHEDULE.
+DECOMPOSE_TEXT = """\
+tau                 = 2.500000000000e-01 -1.125000000000e+00
+sigma               = 7.500000000000e-01
+delta_sq            = 1.187500000000e+00
+s                   = 1.654882264547e+00 -4.537521608709e-01
+r                   = -3.025014405806e-01 1.361256482613e+00
+A                   = 1.957383705128e+00
+B                   = -1.815008643484e+00
+C                   = -9.075043217418e-01
+D                   = 1.352380823967e+00
+residual_unitarity  = -4.440892098501e-16
+residual_symplectic = -2.220446049250e-16
+"""
+DECOMPOSE_JSON = {
+    "abcd": {"a": 1.9573837051280067, "b": -1.8150086434836512,
+             "c": -0.9075043217418256, "d": 1.3523808239667898},
+    "delta_sq": 1.1875, "sigma": 0.75, "tau": {"re": 0.25, "im": -1.125},
+    "s": {"re": 1.6548822645473984, "im": -0.4537521608709128},
+    "r": {"re": -0.3025014405806085, "im": 1.3612564826127385},
+    "residual_symplectic": -2.220446049250313e-16,
+    "residual_unitarity": -4.440892098500626e-16,
+}
+COMPOSE_SCHEDULE = "0.5 0.1 0.3\n-0.2 0.4 1.1\n"
+COMPOSE_TEXT = """\
+steps               = 2
+A                   = 1.730523039627e+00
+B                   = 6.147846314056e-01
+C                   = -1.430099037918e+00
+D                   = 6.980380343634e-02
+s                   = 9.001634215316e-01 1.022441834662e+00
+r                   = -8.303596180952e-01 4.076572032561e-01
+residual_symplectic = 2.220446049250e-16
+"""
+COMPOSE_JSON = {
+    "abcd": {"a": 1.7305230396267972, "b": 0.6147846314056006,
+             "c": -1.4300990379178429, "d": 0.06980380343634496},
+    "s": {"re": 0.900163421531571, "im": 1.0224418346617217},
+    "r": {"re": -0.8303596180952262, "im": 0.40765720325612115},
+    "residual_symplectic": 2.220446049250313e-16, "steps": 2,
+}
+
 
 def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _assert_pinned(capsys, argv, text, payload):
+    """Text and --json output are exactly these bytes, run after run."""
+    as_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for extra, expected in (([], text), (["--json"], as_json)):
+        for _ in range(2):
+            assert _run(capsys, argv + extra) == (0, expected, "")
 
 
 def _parse_report(text):
@@ -70,9 +120,8 @@ class TestDecompose:
         assert "residual_unitarity" in payload
 
     def test_byte_identical_reruns(self, capsys):
-        _, first, _ = _run(capsys, ["decompose", "-1.5", "0.25", "0.75"])
-        _, second, _ = _run(capsys, ["decompose", "-1.5", "0.25", "0.75"])
-        assert first == second
+        _assert_pinned(capsys, ["decompose", "-1.5", "0.25", "0.75"],
+                       DECOMPOSE_TEXT, DECOMPOSE_JSON)
 
     def test_formatting_style(self, capsys):
         _, out, _ = _run(capsys, ["decompose", "1", "0", "0"])
@@ -239,6 +288,11 @@ class TestCompose:
         assert vals["A"][0] == pytest.approx(0.0, abs=1e-12)
         assert vals["B"][0] == pytest.approx(1.0, abs=1e-12)
         assert vals["steps"][0] == 2
+
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        path = tmp_path / "two.sched"
+        path.write_text(COMPOSE_SCHEDULE)
+        _assert_pinned(capsys, ["compose", str(path)], COMPOSE_TEXT, COMPOSE_JSON)
 
     def test_empty_schedule_is_identity(self, tmp_path, capsys):
         path = tmp_path / "empty.sched"

@@ -99,16 +99,16 @@ class TestFockTruncation:
 class TestFockUnitaries:
     def test_zero_generator_is_identity(self):
         for build in (fock_unitary_direct, fock_unitary_ordered):
-            u = build(QuadraticGenerator(0.0, 0.0, 0.0), dim=32)
-            np.testing.assert_allclose(u, np.eye(32), atol=1e-14)
+            u = build(QuadraticGenerator(0.0, 0.0, 0.0))
+            np.testing.assert_allclose(u, np.eye(60), atol=1e-14)
 
     def test_isotropic_generator_is_diagonal_phase(self):
         theta = 0.7
         g = QuadraticGenerator(theta, 0.0, theta)
         n = np.arange(9)
         ref = np.exp(-1j * theta * (n + 0.5))
-        direct = fock_unitary_direct(g, dim=60)
-        ordered = fock_unitary_ordered(g, dim=60)
+        direct = fock_unitary_direct(g)
+        ordered = fock_unitary_ordered(g)
         off_diag = direct[:9, :9] - np.diag(np.diag(direct[:9, :9]))
         assert np.abs(off_diag).max() < 1e-10
         np.testing.assert_allclose(np.diag(direct[:9, :9]), ref, atol=1e-8)
@@ -128,12 +128,12 @@ class TestFockUnitaries:
                 (f.r.conjugate() / f.s) * fock.k_minus,
             ):
                 assert np.abs(_expm(m)[:9, :9] - expm(m)[:9, :9]).max() <= 1e-12
-            u = fock_unitary_direct(g, dim=60)
+            u = fock_unitary_direct(g)
             assert np.abs(u @ u.conj().T - np.eye(60)).max() <= 1e-12
 
     def test_vacuum_squeeze_amplitude(self):
         g = QuadraticGenerator(0.0, math.log(2.0), 0.0)
-        u = fock_unitary_direct(g, dim=60)
+        u = fock_unitary_direct(g)
         # 1/sqrt(cosh(ln 2)), same number the coherent-state route gives
         assert u[0, 0] == pytest.approx(0.8944271909999159, abs=1e-9)
 

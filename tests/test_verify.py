@@ -1,14 +1,16 @@
 """Tests for the aggregated invariant suites behind `quadprop verify`."""
 
+import itertools
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from quadprop import verify
+from quadprop import cli, verify
 
-# Unit tests leave these sweeps to verify, so a dropped or renamed check
-# would silently remove coverage.
+# Unit tests leave these sweeps to verify, and the acceptance criteria read
+# their results, so a dropped or renamed check would silently remove coverage.
 EXPECTED_CHECKS = {
     "lie_core": {"unitarity", "seam_continuity", "fock_equivalence"},
     "symplectic": {"determinant", "matrix_exp_oracle", "sr_dictionary",
@@ -19,18 +21,13 @@ EXPECTED_CHECKS = {
 }
 
 
-@pytest.fixture(scope="module")
-def summary():
-    return verify.run_all()
+def test_fresh_build_passes(verify_summary):
+    assert verify_summary["pass"] is True
 
 
-def test_fresh_build_passes(summary):
-    assert summary["pass"] is True
-
-
-def test_summary_schema(summary):
-    assert summary["suites"].keys() == EXPECTED_CHECKS.keys()
-    for name, suite in summary["suites"].items():
+def test_summary_schema(verify_summary):
+    assert verify_summary["suites"].keys() == EXPECTED_CHECKS.keys()
+    for name, suite in verify_summary["suites"].items():
         assert suite["checks"].keys() == EXPECTED_CHECKS[name]
         assert set(suite.keys()) == {"pass", "max_residual", "checks"}
         assert suite["pass"] is True
@@ -42,9 +39,9 @@ def test_summary_schema(summary):
         )
 
 
-def test_summary_is_json_serializable(summary):
-    text = json.dumps(summary, sort_keys=True)
-    assert json.loads(text) == summary
+def test_summary_is_json_serializable(verify_summary):
+    text = json.dumps(verify_summary, sort_keys=True)
+    assert json.loads(text) == verify_summary
 
 
 def test_fault_injection_trips_unitarity():
@@ -53,6 +50,26 @@ def test_fault_injection_trips_unitarity():
     assert suite["pass"] is False
     assert suite["checks"]["unitarity"]["pass"] is False
     assert suite["checks"]["unitarity"]["residual"] > 1e-7
+
+
+def test_nan_residual_fails_its_check(monkeypatch, capsys):
+    # s of the 5th unitarity generator becomes NaN, which max(worst, nan) drops
+    calls = itertools.count()
+    real = verify.normal_order
+
+    def nan_on_fifth(g):
+        f = real(g)
+        return replace(f, s=complex(math.nan)) if next(calls) == 4 else f
+
+    monkeypatch.setattr(verify, "normal_order", nan_on_fifth)
+    suite = verify.lie_core_suite(np.random.default_rng(verify.DEFAULT_SEED))
+    assert suite["checks"]["unitarity"] == {"residual": None, "tolerance": 1e-10, "pass": False}
+    assert suite["pass"] is False and suite["max_residual"] is None
+
+    monkeypatch.setattr(verify, "run_all", lambda inject_fault=False: {
+        "pass": False, "suites": {"lie_core": suite}})
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
+    assert json.loads(capsys.readouterr().out)["suites"]["lie_core"] == suite
 
 
 def test_sampling_helpers_cover_both_signs():

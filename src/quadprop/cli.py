@@ -4,8 +4,8 @@ Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
 failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
-(an invariant guard, a non-finite value in JSON or in the decompose or
-kernel report, or an overflowing intermediate).
+(an invariant guard, a non-finite value in JSON, in the decompose or
+kernel report or in evolve's l2_diff, or an overflowing intermediate).
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def _require_finite(named) -> None:
 
     None values are skipped. ``decompose``, ``kernel`` and ``compose`` call
     it in text and JSON mode alike, so that the error names the fields; the
-    JSON encoder's allow_nan=False only backs it up.
+    JSON encoder's allow_nan=False only backs it up. ``evolve`` calls it on
+    ``l2_diff`` before it writes any row.
     """
     bad = [name for name, v in named if v is not None and not cmath.isfinite(v)]
     if bad:
@@ -166,6 +167,8 @@ def cmd_evolve(args) -> int:
     grid_route = grid.amplitudes
     diff = abs(kernel_route - grid_route)
     l2 = float((diff**2).sum() ** 0.5 * grid.spacing**0.5)
+    # a non-finite amplitude on either route makes l2_diff non-finite
+    _require_finite([("l2_diff", l2)])
 
     _emit(args, itertools.chain(
         ["x,re_kernel_route,im_kernel_route,re_grid_route,im_grid_route,abs_diff\n"],

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NonConvergentError, require_off_caustic
 from .lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
-from .symplectic import abcd_from_generator
 
 __all__ = [
     "CoherentLabel",
@@ -147,7 +146,7 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     integral raises NonConvergentError.
     """
     f = normal_order(g)
-    require_off_caustic(f.s.imag - f.r.imag, g, abcd_from_generator)
+    require_off_caustic(f.s.imag - f.r.imag)
     ros = f.r / f.s
     rcs = f.r.conjugate() / f.s
     inv_s = 1.0 / f.s

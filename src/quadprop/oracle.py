@@ -39,7 +39,6 @@ from .propagator import GaussianWavepacket
 from .symplectic import _expm
 
 __all__ = [
-    "FockTruncation",
     "Grid",
     "fock_unitary_direct",
     "fock_unitary_ordered",
@@ -49,43 +48,17 @@ __all__ = [
 FOCK_DIM = 60
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Bosonic ladder operators on the lowest ``dim`` number states.
+def _ladder() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """a, K+ = a^dag^2 / 2, K0 = (a^dag a + 1/2) / 2 and K- = a^2 / 2 on the
+    lowest ``FOCK_DIM`` number states.
 
     <m|a|n> = sqrt(n) delta_{m,n-1}; the commutator [a, a^dag] equals
-    the identity on the first dim-1 levels (the last diagonal entry is
-    a truncation artifact, as always).
+    the identity on the first FOCK_DIM - 1 levels (the last diagonal
+    entry is a truncation artifact, as always).
     """
-
-    dim: int
-    a: np.ndarray
-    adag: np.ndarray
-
-    @classmethod
-    def build(cls, dim: int) -> "FockTruncation":
-        if dim < 16:
-            raise ValueError(f"truncation dimension must be >= 16, got {dim}")
-        a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-        return cls(dim=dim, a=a, adag=a.conj().T)
-
-    @property
-    def k_plus(self) -> np.ndarray:
-        return 0.5 * (self.adag @ self.adag)
-
-    @property
-    def k_zero(self) -> np.ndarray:
-        return 0.5 * (self.adag @ self.a) + 0.25 * np.eye(self.dim)
-
-    @property
-    def k_minus(self) -> np.ndarray:
-        return 0.5 * (self.a @ self.a)
-
-    def commutator_residual(self) -> float:
-        """max |([a, a^dag] - 1)| over the first dim-1 levels."""
-        comm = self.a @ self.adag - self.adag @ self.a - np.eye(self.dim)
-        n = self.dim - 1
-        return float(np.abs(comm[:n, :n]).max())
+    a = np.diag(np.sqrt(np.arange(1, FOCK_DIM)), k=1).astype(complex)
+    adag = a.conj().T
+    return a, 0.5 * (adag @ adag), 0.5 * (adag @ a) + 0.25 * np.eye(FOCK_DIM), 0.5 * (a @ a)
 
 
 def fock_unitary_direct(g: QuadraticGenerator) -> np.ndarray:
@@ -95,9 +68,9 @@ def fock_unitary_direct(g: QuadraticGenerator) -> np.ndarray:
     Trustworthy on levels well below ``FOCK_DIM`` for coefficient
     magnitudes up to ~1 (truncation-error regime).
     """
-    fock = FockTruncation.build(FOCK_DIM)
+    _, k_plus, k_zero, k_minus = _ladder()
     p = to_su11(g)
-    gen = p.tau * fock.k_plus + 1j * p.sigma * fock.k_zero - p.tau.conjugate() * fock.k_minus
+    gen = p.tau * k_plus + 1j * p.sigma * k_zero - p.tau.conjugate() * k_minus
     return _expm(gen)
 
 
@@ -109,12 +82,12 @@ def fock_unitary_ordered(g: QuadraticGenerator) -> np.ndarray:
     ``symplectic._expm``. Agreement with ``fock_unitary_direct``
     certifies the (s, r) closed form.
     """
-    fock = FockTruncation.build(FOCK_DIM)
+    _, k_plus, _, k_minus = _ladder()
     f = normal_order(g)
     log_s = cmath.log(f.s)
     middle = np.diag(np.exp(-(np.arange(FOCK_DIM) + 0.5) * log_s))
-    left = _expm(-(f.r / f.s) * fock.k_plus)
-    right = _expm((f.r.conjugate() / f.s) * fock.k_minus)
+    left = _expm(-(f.r / f.s) * k_plus)
+    right = _expm((f.r.conjugate() / f.s) * k_minus)
     return left @ middle @ right
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonConvergentError, require_off_caustic
 from .lie_core import NormalOrderFactors, QuadraticGenerator
-from .symplectic import AbcdMatrix, abcd_from_sr
+from .symplectic import AbcdMatrix
 
 __all__ = [
     "GaussianKernel",
@@ -146,7 +146,19 @@ class GaussianWavepacket:
                 raise ValueError(f"{name} must be finite")
 
     def to_complex(self) -> "ComplexGaussian":
-        return ComplexGaussian.from_wavepacket(self)
+        """Raises ValueError if width^2 underflows, or center_q^2 or center_q/width^2 overflows."""
+        w2 = self.width * self.width
+        try:
+            quad = complex(-0.5 / w2, 0.0)
+            lin = complex(self.center_q / w2, self.center_p)
+            amp = (np.pi * w2) ** (-0.25) * cmath.exp(
+                complex(-0.5 * self.center_q**2 / w2, self.phase)
+            )
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"cannot sample {self}: {exc}") from exc
+        if not (cmath.isfinite(quad) and cmath.isfinite(lin)):
+            raise ValueError(f"cannot sample {self}: its exponent is not finite")
+        return ComplexGaussian(quad=quad, lin=lin, amp=amp)
 
     def evaluate(self, x):
         return self.to_complex().evaluate(x)
@@ -168,22 +180,6 @@ class ComplexGaussian:
     def __post_init__(self):
         if not self.quad.real < 0.0:
             raise ValueError(f"Re(quad) must be negative, got {self.quad.real!r}")
-
-    @classmethod
-    def from_wavepacket(cls, psi: GaussianWavepacket) -> "ComplexGaussian":
-        """Raises ValueError if width^2 underflows, or center_q^2 or center_q/width^2 overflows."""
-        w2 = psi.width * psi.width
-        try:
-            quad = complex(-0.5 / w2, 0.0)
-            lin = complex(psi.center_q / w2, psi.center_p)
-            amp = (np.pi * w2) ** (-0.25) * cmath.exp(
-                complex(-0.5 * psi.center_q**2 / w2, psi.phase)
-            )
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"cannot sample {psi}: {exc}") from exc
-        if not (cmath.isfinite(quad) and cmath.isfinite(lin)):
-            raise ValueError(f"cannot sample {psi}: its exponent is not finite")
-        return cls(quad=quad, lin=lin, amp=amp)
 
     def evaluate(self, x):
         scalar = np.ndim(x) == 0
@@ -219,7 +215,7 @@ def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:
     Raises FocalPointError when |B| = |Im s - Im r| < 1e-12.
     """
     f.require_unitary()
-    require_off_caustic(f.s.imag - f.r.imag, f, abcd_from_sr)
+    require_off_caustic(f.s.imag - f.r.imag)
     e = f.s - f.s.conjugate() - f.r + f.r.conjugate()
     plus = f.s + f.s.conjugate()
     rsum = f.r + f.r.conjugate()
@@ -229,7 +225,7 @@ def kernel_from_sr(f: NormalOrderFactors) -> GaussianKernel:
 
 def _w_coefficients(m: AbcdMatrix) -> tuple[float, float, float]:
     """1/B, A/(2B), D/(2B) of ``generating_function(m)``, without building it."""
-    require_off_caustic(m.b, m)
+    require_off_caustic(m.b)
     return 1.0 / m.b, 0.5 * m.a / m.b, 0.5 * m.d / m.b
 
 

@@ -191,9 +191,6 @@ def load_schedule(path) -> list[QuadraticGenerator]:
                     )
                 try:
                     alpha, beta, gamma = (float(p) for p in parts)
-                except ValueError as exc:
-                    raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
-                try:
                     steps.append(QuadraticGenerator(alpha, beta, gamma))
                 except ValueError as exc:
                     raise ScheduleError(f"{path}:{lineno}: {exc}") from exc

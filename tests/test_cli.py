@@ -364,12 +364,16 @@ class TestVerifyCommand:
     (["decompose", "--", "-1e300", "0", "1e300"], None),
     (["kernel", "--", "-1e300", "0", "1e300", "0", "0"], None),
     (["compose"], "-1e300 0 1e300\n"),
+    # sampling the packet gives -inf + inf, and no grid step checks the amplitudes
+    (["evolve", "--center-q", "1", "--width", "1e-5", "--x-min=-1e300", "--x-max", "1e300",
+      "--n-points", "512"], ""),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
         "evolve-convolve-overflow", "decompose-not-unitary", "evolve-band-overflow",
         "evolve-band-nan", "evolve-pivot-overflow", "evolve-zero-pivot",
-        "decompose-gc-gs-overflow", "kernel-gc-gs-overflow", "compose-gc-gs-overflow"])
+        "decompose-gc-gs-overflow", "kernel-gc-gs-overflow", "compose-gc-gs-overflow",
+        "evolve-empty-schedule-nan"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
         path = tmp_path / "drift.sched"

@@ -8,11 +8,12 @@ import pytest
 from quadprop.errors import BoundaryLeakError
 from quadprop.lie_core import QuadraticGenerator, normal_order, to_su11
 from quadprop.oracle import (
-    FockTruncation,
+    FOCK_DIM,
     Grid,
     fock_unitary_direct,
     fock_unitary_ordered,
     _hamiltonian_bands,
+    _ladder,
     grid_evolve,
     ldu,
 )
@@ -86,14 +87,11 @@ def _banded_reference(schedule, grid, steps):
 
 class TestFockTruncation:
     def test_ladder_matrix_elements(self):
-        fock = FockTruncation.build(16)
-        for n in range(1, 16):
-            assert fock.a[n - 1, n] == pytest.approx(math.sqrt(n))
-        assert np.count_nonzero(fock.a) == 15
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            FockTruncation.build(8)
+        a = _ladder()[0]
+        assert a.shape == (FOCK_DIM, FOCK_DIM) == (60, 60)
+        for n in range(1, 60):
+            assert a[n - 1, n] == pytest.approx(math.sqrt(n))
+        assert np.count_nonzero(a) == 59
 
 
 class TestFockUnitaries:
@@ -119,13 +117,13 @@ class TestFockUnitaries:
         # on the direct generator and on both nilpotent ordered factors
         from scipy.linalg import expm
 
-        fock = FockTruncation.build(60)
+        _, k_plus, k_zero, k_minus = _ladder()
         for g in random_generators(np.random.default_rng(11), 5, scale=0.5):
             p, f = to_su11(g), normal_order(g)
             for m in (
-                p.tau * fock.k_plus + 1j * p.sigma * fock.k_zero - p.tau.conjugate() * fock.k_minus,
-                -(f.r / f.s) * fock.k_plus,
-                (f.r.conjugate() / f.s) * fock.k_minus,
+                p.tau * k_plus + 1j * p.sigma * k_zero - p.tau.conjugate() * k_minus,
+                -(f.r / f.s) * k_plus,
+                (f.r.conjugate() / f.s) * k_minus,
             ):
                 assert np.abs(_expm(m)[:9, :9] - expm(m)[:9, :9]).max() <= 1e-12
             u = fock_unitary_direct(g)

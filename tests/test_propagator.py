@@ -323,29 +323,28 @@ def test_batch_evaluation_independent_of_partitioning():
 
 FOCAL_ABCD = AbcdMatrix(2.0, 0.0, 0.0, 0.5)  # a pure squeeze, B = 0
 QUARTER_K = kernel_from_abcd(OSC_QUARTER)
-# route: (its call at B = 0, that error's matrix, its call on a map with B = b exactly);
-# a free particle's alpha is B, and a quarter turn, then (b, 1, -1, 0), has B = b
+# route: (its call at B = 0, its call on a map with B = b exactly); a free
+# particle's alpha is B, and a quarter turn, then (b, 1, -1, 0), has B = b
 FOCAL_ROUTES = {
-    "kernel_from_sr": (
-        lambda: kernel_from_sr(NormalOrderFactors(1.25 + 0j, -0.75 + 0j)), FOCAL_ABCD,
-        lambda b: kernel_from_sr(normal_order(QuadraticGenerator(b, 0, 0)))),
-    "kernel_from_abcd": (lambda: kernel_from_abcd(FOCAL_ABCD), FOCAL_ABCD,
+    "kernel_from_sr": (lambda: kernel_from_sr(NormalOrderFactors(1.25 + 0j, -0.75 + 0j)),
+                       lambda b: kernel_from_sr(normal_order(QuadraticGenerator(b, 0, 0)))),
+    "kernel_from_abcd": (lambda: kernel_from_abcd(FOCAL_ABCD),
                          lambda b: kernel_from_abcd(AbcdMatrix(1.0, b, 0.0, 1.0))),
-    "generating_function": (lambda: generating_function(FOCAL_ABCD), FOCAL_ABCD,
+    "generating_function": (lambda: generating_function(FOCAL_ABCD),
                             lambda b: generating_function(AbcdMatrix(1.0, b, 0.0, 1.0))),
     "kernel_via_iwop": (lambda: kernel_via_iwop(QuadraticGenerator(0, math.log(2.0), 0), 0, 0),
-                        FOCAL_ABCD, lambda b: kernel_via_iwop(QuadraticGenerator(b, 0, 0), 0, 0)),
-    "compose_kernels": (lambda: compose_kernels(QUARTER_K, QUARTER_K), None, lambda b:
+                        lambda b: kernel_via_iwop(QuadraticGenerator(b, 0, 0), 0, 0)),
+    "compose_kernels": (lambda: compose_kernels(QUARTER_K, QUARTER_K), lambda b:
                         compose_kernels(kernel_from_abcd(AbcdMatrix(b, 1, -1, 0)), QUARTER_K)),
 }
 
 
 @pytest.mark.parametrize("route", FOCAL_ROUTES)
 def test_one_caustic_guard(route):
-    at_zero, matrix, with_b = FOCAL_ROUTES[route]
+    at_zero, with_b = FOCAL_ROUTES[route]
     with pytest.raises(FocalPointError) as err:
         at_zero()
-    assert type(err.value) is FocalPointError and err.value.matrix == matrix
+    assert type(err.value) is FocalPointError
     assert str(err.value) == "focal point: B=0, kernel degenerates to a delta function"
     for b in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12):
         if abs(b) < 1e-12:

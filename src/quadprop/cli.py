@@ -195,7 +195,7 @@ def cmd_compose(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    summary = run_all(inject_fault=args.inject_fault)
+    summary = run_all()
     _emit(args, [_json_dump(summary)])
     return EXIT_OK if summary["pass"] else EXIT_VERIFY_FAILED
 
@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("verify", help="run every invariant suite, JSON summary")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="perturb one check on purpose (harness self-test)")
     add_output(p)
 
     return parser

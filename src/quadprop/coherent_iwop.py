@@ -99,9 +99,10 @@ def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
 
     Branch of sqrt(det M): the Hermitian part of the complex symmetric M
     is Re M > 0, and every Schur complement inherits a positive definite
-    Hermitian part (the argument ``oracle.ldu`` makes for its shifted
-    Cayley matrices, whose Hermitian part is 3 I). So each pivot d_k lies
-    in the open right half-plane, and stays there along
+    Hermitian part: for S = M22 - M21 M11^-1 M12 and any x != 0,
+    z = (-M11^-1 M12 x, x) gives Re x^H S x = Re z^H M z > 0. Each pivot
+    d_k is the leading entry of such a complement, so it lies in the open
+    right half-plane, and stays there along
     M(t) = Re M + i t Im M for t in [0, 1]: no pivot vanishes, and
     prod sqrt(d_k) over principal roots is the continuation of the
     positive root at t = 0, even where det M winds past the cut.

@@ -16,11 +16,8 @@ Two deliberately dumb routes that know nothing about the closed forms:
   Pade (2,2) approximant of exp(-i tau H), which is unitary and whose
   time error is O(tau^4), in product form: two shifted Cayley sub-steps
   psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi with
-  M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M twice,
-  once per shift, as L D U (unit triangular factors with two
-  off-diagonals) without pivoting, which is stable because Re M = 3 I
-  puts every pivot at real part >= 3. A sub-step is then two BLAS ztbsv
-  sweeps (scipy's one use), through L and U, and two vector updates.
+  M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
+  shift with LAPACK zgbtrf; a sub-step is one zgbtrs solve and two updates.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import BoundaryLeakError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
@@ -145,93 +141,37 @@ class Grid:
 
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6
-_BAND_CHUNK = 512
-_SWEEP_BLOCK = 64
 # exp(z) ~ (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12), the diagonal Pade (2,2)
 # approximant, is the product of (s + z) / (s - z) over s = 3 -+ i sqrt(3)
 # (W. van Dijk and F. M. Toyama, Phys. Rev. E 75 (2007) 036707).
 _PADE_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
 
 
-def _require_pivots(pivots: np.ndarray) -> None:
-    if not (np.isfinite(pivots).all() and pivots.all()):
-        raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
+def _cayley_lu(g: QuadraticGenerator, x: np.ndarray, h: float, shift: complex, tau: float,
+               ab: np.ndarray):
+    """Band LU of the shifted Cayley matrix M = shift + i tau H, in place.
 
-
-def ldu(g: QuadraticGenerator, x: np.ndarray, h: float, shift: complex, tau: float,
-        bands: np.ndarray):
-    """Pivot-free M = L D U of the shifted Cayley matrix M = shift + i tau H, in place.
-
-    H is ``_hamiltonian_bands(g, x, h)``, built and checked for infs and
-    NaNs ``_BAND_CHUNK`` rows at a time as the sweep reaches them, so no
-    full-length band exists. ``bands`` is a complex buffer of 5n + 2
-    entries that receives the unit upper and unit lower factors U and L in
-    ztbsv band storage with leading dimension 5: column j of U is
-    U[j-2, j], U[j-1, j] and the unit diagonal, and column j of L, two
-    entries further on, is the unit diagonal, L[j+1, j] and L[j+2, j].
-    Unit diagonals are never read, so they share one slot, ``bands[2::5]``,
-    which holds the pivots D. Returns the views D, U and L.
-
-    Elimination without row exchanges is safe because M's Hermitian part
-    is (Re shift) I and every Schur complement inherits a Hermitian part
-    >= (Re shift) I: for S = M22 - M21 M11^-1 M12 and any x,
-    z = (-M11^-1 M12 x, x) gives Re x^H S x = Re z^H M z >= Re shift |x|^2.
-    Every pivot is the leading entry of such a complement, so
-    Re d >= Re shift (3 for both Pade shifts) and none can vanish. The
-    recurrence runs on Python complex numbers, which is faster than on
-    numpy scalars, ``_SWEEP_BLOCK`` rows at a time, so that only one
-    block's objects are alive. Raises ValueError if a band entry is not
-    finite, and LinAlgError, without a numpy warning, if a pivot is zero
-    or non-finite, which takes entries so large that rounding swamps
-    Re d >= Re shift.
+    H is ``_hamiltonian_bands(g, x, h)``. M goes into the 7 x n
+    Fortran-ordered complex buffer ``ab`` in LAPACK band storage, M[i, j]
+    at ab[4 + i - j, j], and ``zgbtrf`` overwrites it with the partially
+    pivoted factors, using rows 0 and 1 for fill-in. Returns the factors
+    and pivot indices for ``zgbtrs``. Raises ValueError if a band entry is
+    not finite, and LinAlgError if U has a zero or non-finite diagonal.
     """
-    n = x.size
+    diag, up1, up2 = _hamiltonian_bands(g, x, h)
+    if not (np.isfinite(diag).all() and np.isfinite(up1).all() and np.isfinite(up2).all()):
+        raise ValueError("Hamiltonian bands must not contain infs or NaNs")
     c = 1j * tau
-    pivots = bands[2::5]
-    # row k, with M[k+j, k] = -conj(M[k, k+j]), e = d U[k, k+1] and f = d L[k+1, k]:
-    #   d[k] = M[k, k] - L[k, k-1] e[k-1] + |M[k-2, k]|^2 / d[k-2]
-    #   e[k] = M[k, k+1] - L[k, k-1] M[k-1, k+1]
-    #   f[k] = M[k+1, k] - M[k+1, k-1] U[k-1, k]
-    # U[k, k+1] and L[k+1, k] of the last row are zero and lie where
-    # neither sweep reads
-    e = l = u = a2_p = r_p = r_pp = 0j
-    # a non-finite pivot makes the U and L entries below non-finite, without
-    # a warning, before the pivot check raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for top in range(0, n, _BAND_CHUNK):
-                diag, up1, up2 = _hamiltonian_bands(g, x[top:top + _BAND_CHUNK + 2], h)
-                if not (np.isfinite(diag).all() and np.isfinite(up1).all()
-                        and np.isfinite(up2).all()):
-                    raise ValueError("Hamiltonian bands must not contain infs or NaNs")
-                a0s = shift + c * diag[:_BAND_CHUNK]
-                a1s, a2s = c * up1[:_BAND_CHUNK], c * up2[:_BAND_CHUNK]
-                for lo in range(top, top + a0s.size, _SWEEP_BLOCK):
-                    i, hi = lo - top, min(lo + _SWEEP_BLOCK, n)
-                    d_blk, u_blk, l_blk = [], [], []
-                    for a0, a1, a2 in zip_longest(a0s[i:i + _SWEEP_BLOCK].tolist(),
-                                                  a1s[i:i + _SWEEP_BLOCK].tolist(),
-                                                  a2s[i:i + _SWEEP_BLOCK].tolist(), fillvalue=0j):
-                        d = a0 - l * e + r_pp
-                        e = a1 - l * a2_p
-                        u, l = e / d, (a2_p.conjugate() * u - a1.conjugate()) / d
-                        r_pp, r_p = r_p, a2.conjugate() * a2 / d
-                        a2_p = a2
-                        d_blk.append(d)
-                        u_blk.append(u)
-                        l_blk.append(l)
-                    pivots[lo:hi] = d_blk
-                    bands[5 * lo + 6:5 * hi + 6:5] = u_blk
-                    bands[5 * lo + 3:5 * hi + 3:5] = l_blk
-                # the chunk's U[j, j+2] and L[j+2, j]
-                m = a2s.size
-                np.divide(a2s, pivots[top:top + m], out=bands[5 * top + 10::5][:m])
-                np.divide(-a2s.conj(), pivots[top:top + m], out=bands[5 * top + 4::5][:m])
-        except ZeroDivisionError:
-            # rounding in entries this large can cancel a pivot to zero
-            pivots[lo + len(d_blk)] = d
-    _require_pivots(pivots)
-    return pivots, bands[:-2].reshape(n, 5).T, bands[2:].reshape(n, 5).T
+    ab[2, 2:] = c * up2
+    ab[3, 1:] = c * up1
+    ab[4] = shift + c * diag
+    # H is Hermitian, so M[j + k, j] = i tau conj(H[j, j + k])
+    ab[5, :-1] = c * up1.conj()
+    ab[6, :-2] = c * up2.conj()
+    lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info != 0 or not np.isfinite(lu[4]).all():
+        raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
+    return lu, piv
 
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
@@ -269,12 +209,11 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     conserved to solver accuracy; one sub-step alone can scale a mode by
     up to sqrt(3). The spatial error is O(h^4), the time error O(tau^4).
 
-    Each entry factors M once per shift as M = L D U without pivoting
-    (every pivot has real part >= 3, see ``ldu``), with L unit lower and
-    U unit upper triangular with two off-diagonals. A sub-step then
-    solves L y = psi and U z = 2 s D^-1 y with one BLAS ztbsv sweep each
-    and sets psi' = z - psi. Both factorizations, the state and the work
-    vector are allocated once per call, before anything else.
+    Each entry factors M once per shift by LAPACK's partially pivoted
+    band LU (``zgbtrf``, see ``_cayley_lu``). A sub-step then solves
+    M y = psi with ``zgbtrs`` and sets psi' = 2 s y - psi. Both
+    factorizations, the state and the work vector are allocated once per
+    call, before anything else.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
@@ -286,27 +225,24 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n = psi0.n_points
-    # one allocation, made before any other, for both shifts' factors, the
-    # state and the work vector: separate arrays left more heap resident
-    buf = np.zeros(12 * n + 4, dtype=complex)
-    bands = buf[:10 * n + 4].reshape(2, 5 * n + 2)
-    psi, work = buf[10 * n + 4:].reshape(2, n)
+    # one allocation, made before any other, for both shifts' bands, the state
+    # and the work vector: separate arrays left more heap resident
+    buf = np.zeros(16 * n, dtype=complex)
+    bands = buf[:14 * n].reshape(2, n, 7).transpose(0, 2, 1)
+    psi, work = buf[14 * n:].reshape(2, n)
     psi[:] = psi0.amplitudes
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
-        factors = [ldu(g, x, h, shift, tau, b) for shift, b in zip(_PADE_SHIFTS, bands)]
-        for shift, (pivots, _, _) in zip(_PADE_SHIFTS, factors):
-            np.divide(2.0 * shift, pivots, out=pivots)
+        factors = [_cayley_lu(g, x, h, shift, tau, ab) for shift, ab in zip(_PADE_SHIFTS, bands)]
         for _ in range(steps):
-            for two_s_over_d, upper, lower in factors:
+            for shift, (lu, piv) in zip(_PADE_SHIFTS, factors):
                 # a sum that overflows is re-checked entry by entry
                 if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
                     raise ValueError("grid amplitudes must not contain infs or NaNs")
                 np.copyto(work, psi)
-                work = ztbsv(2, lower, work, lower=1, diag=1, overwrite_x=1)
-                work *= two_s_over_d
-                work = ztbsv(2, upper, work, diag=1, overwrite_x=1)
+                work = zgbtrs(lu, 2, 2, work, piv, overwrite_b=1)[0]
+                work *= 2.0 * shift
                 work -= psi
                 psi, work = work, psi
                 edge = max(abs(psi[0]), abs(psi[-1]))

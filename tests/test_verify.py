@@ -44,9 +44,19 @@ def test_summary_is_json_serializable(verify_summary):
     assert json.loads(text) == verify_summary
 
 
-def test_fault_injection_trips_unitarity():
-    suite = verify.lie_core_suite(np.random.default_rng(verify.DEFAULT_SEED),
-                                  inject_fault=True)
+def _small_sample(monkeypatch):
+    # eight generators per random sample, so that a test of one check does
+    # not pay for the whole 10300-generator sweep
+    real = verify.random_generators
+    monkeypatch.setattr(verify, "random_generators",
+                        lambda rng, n, scale=5.0: real(rng, 8, scale))
+
+
+def test_fault_injection_trips_unitarity(monkeypatch):
+    _small_sample(monkeypatch)
+    real = verify.normal_order
+    monkeypatch.setattr(verify, "normal_order", lambda g: replace(real(g), s=real(g).s + 1e-6))
+    suite = verify.lie_core_suite(np.random.default_rng(verify.DEFAULT_SEED))
     assert suite["pass"] is False
     assert suite["checks"]["unitarity"]["pass"] is False
     assert suite["checks"]["unitarity"]["residual"] > 1e-7
@@ -54,6 +64,7 @@ def test_fault_injection_trips_unitarity():
 
 def test_nan_residual_fails_its_check(monkeypatch, capsys):
     # s of the 5th unitarity generator becomes NaN, which max(worst, nan) drops
+    _small_sample(monkeypatch)
     calls = itertools.count()
     real = verify.normal_order
 
@@ -66,7 +77,7 @@ def test_nan_residual_fails_its_check(monkeypatch, capsys):
     assert suite["checks"]["unitarity"] == {"residual": None, "tolerance": 1e-10, "pass": False}
     assert suite["pass"] is False and suite["max_residual"] is None
 
-    monkeypatch.setattr(verify, "run_all", lambda inject_fault=False: {
+    monkeypatch.setattr(verify, "run_all", lambda: {
         "pass": False, "suites": {"lie_core": suite}})
     assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
     assert json.loads(capsys.readouterr().out)["suites"]["lie_core"] == suite

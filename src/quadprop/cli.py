@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-q", type=float, default=0.0)
     p.add_argument("--center-p", type=float, default=1.0)
     p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--packet-phase", type=float, default=0.0)
     p.add_argument("--x-min", type=float, default=-40.0)
     p.add_argument("--x-max", type=float, default=40.0)
     p.add_argument("--n-points", type=int, default=4096)
@@ -271,7 +270,6 @@ def _prepare(args) -> None:
             center_q=args.center_q,
             center_p=args.center_p,
             width=args.width,
-            phase=args.packet_phase,
         )
         if args.steps < 1:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")

@@ -25,12 +25,10 @@ __all__ = [
     "SU11Params",
     "NormalOrderFactors",
     "to_su11",
-    "gc",
-    "gs",
     "normal_order",
 ]
 
-# Below this |x| the direct cosh/cos and sinh/sin expressions for gc/gs are
+# Below this |delta_sq| the direct cosh/cos and sinh/sin expressions for gc/gs are
 # replaced by their Taylor series (series truncation error < 1e-15 there).
 _SERIES_CUTOFF = 1e-4
 
@@ -115,6 +113,7 @@ def to_su11(g: QuadraticGenerator) -> SU11Params:
     tau = beta + i(alpha - gamma)/2, sigma = -(alpha + gamma), and
     delta_sq = beta^2 - alpha*gamma. Total on finite inputs.
     """
+    # not ``_flow``: gc/gs are not needed here, and cosh warns where it overflows
     a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
     return SU11Params(
         tau=complex(g.beta, 0.5 * (g.alpha - g.gamma)),
@@ -123,44 +122,28 @@ def to_su11(g: QuadraticGenerator) -> SU11Params:
     )
 
 
-def _gc_gs(x):
-    """gc and gs at longdouble precision; x may be any real scalar type."""
-    x = _ONE * x
+def _flow(g: QuadraticGenerator):
+    """Long-double (alpha, beta, gamma, delta_sq, gc, gs) of a generator, for both closed forms.
+
+    gc = cosh(sqrt(x)) and gs = sinh(sqrt(x))/sqrt(x) at x = delta_sq > 0,
+    cos(sqrt(-x)) and sin(sqrt(-x))/sqrt(-x) at x < 0. Both are entire: for
+    |x| < 1e-4 they are the Taylor series 1 + x/2 + x^2/24 and 1 + x/6 + x^2/120.
+    """
+    a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
+    x = b * b - a * c
     if abs(x) < _SERIES_CUTOFF:
-        return 1 + x / 2 + x * x / 24, 1 + x / 6 + x * x / 120
+        return a, b, c, x, 1 + x / 2 + x * x / 24, 1 + x / 6 + x * x / 120
     if x > 0:
         rt = np.sqrt(x)
-        return np.cosh(rt), np.sinh(rt) / rt
+        return a, b, c, x, np.cosh(rt), np.sinh(rt) / rt
     rt = np.sqrt(-x)
-    return np.cos(rt), np.sin(rt) / rt
-
-
-def gc(x: float) -> float:
-    """Even entire function equal to cosh(sqrt(x)) for x >= 0 and cos(sqrt(-x)) for x < 0.
-
-    Continuous through x = 0 (gc(0) = 1) via the Taylor series
-    1 + x/2 + x^2/24 for |x| < 1e-4.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"gc requires finite x, got {x!r}")
-    return float(_gc_gs(x)[0])
-
-
-def gs(x: float) -> float:
-    """Entire function equal to sinh(sqrt(x))/sqrt(x) for x > 0 and sin(sqrt(-x))/sqrt(-x) for x < 0.
-
-    Continuous through x = 0 (gs(0) = 1) via the Taylor series
-    1 + x/6 + x^2/120 for |x| < 1e-4.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"gs requires finite x, got {x!r}")
-    return float(_gc_gs(x)[1])
+    return a, b, c, x, np.cos(rt), np.sin(rt) / rt
 
 
 def normal_order(g: QuadraticGenerator) -> NormalOrderFactors:
     """Normal-ordered factors (s, r) of the evolution operator.
 
-    With (tau, sigma, delta_sq) from ``to_su11``:
+    With (tau, sigma, delta_sq) from ``to_su11`` and gc, gs from ``_flow``:
 
         s = gc(delta_sq) - i (sigma/2) gs(delta_sq)
         r = -tau * gs(delta_sq)
@@ -172,10 +155,8 @@ def normal_order(g: QuadraticGenerator) -> NormalOrderFactors:
     -1.5e-8 at 100 (past INVARIANT_TOL, so the unitarity guard rejects
     the pair) and -6e-5 at 200; relative to |s|^2 it stays near 1e-16.
     """
-    a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
+    a, b, c, _, gcv, gsv = _flow(g)
     sigma = -(a + c)
-    delta_sq = b * b - a * c
-    gcv, gsv = _gc_gs(delta_sq)
     s = complex(float(gcv), float(-0.5 * sigma * gsv))
     r = complex(float(-b * gsv), float(-0.5 * (a - c) * gsv))
     return NormalOrderFactors(s=s, r=r)

@@ -147,20 +147,17 @@ _EDGE_AMPLITUDE_LIMIT = 1e-6
 _PADE_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
 
 
-def _cayley_lu(g: QuadraticGenerator, x: np.ndarray, h: float, shift: complex, tau: float,
+def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: complex, tau: float,
                ab: np.ndarray):
     """Band LU of the shifted Cayley matrix M = shift + i tau H, in place.
 
-    H is ``_hamiltonian_bands(g, x, h)``. M goes into the 7 x n
-    Fortran-ordered complex buffer ``ab`` in LAPACK band storage, M[i, j]
-    at ab[4 + i - j, j], and ``zgbtrf`` overwrites it with the partially
-    pivoted factors, using rows 0 and 1 for fill-in. Returns the factors
-    and pivot indices for ``zgbtrs``. Raises ValueError if a band entry is
-    not finite, and LinAlgError if U has a zero or non-finite diagonal.
+    H has the bands ``(diag, up1, up2)`` of ``_hamiltonian_bands``. M goes
+    into the 7 x n Fortran-ordered complex buffer ``ab`` in LAPACK band
+    storage, M[i, j] at ab[4 + i - j, j], and ``zgbtrf`` overwrites it with
+    the partially pivoted factors, using rows 0 and 1 for fill-in. Returns
+    the factors and pivot indices for ``zgbtrs``. Raises LinAlgError if U
+    has a zero or non-finite diagonal.
     """
-    diag, up1, up2 = _hamiltonian_bands(g, x, h)
-    if not (np.isfinite(diag).all() and np.isfinite(up1).all() and np.isfinite(up2).all()):
-        raise ValueError("Hamiltonian bands must not contain infs or NaNs")
     c = 1j * tau
     ab[2, 2:] = c * up2
     ab[3, 1:] = c * up1
@@ -182,8 +179,8 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
     (XP + PX)/2 with P = -iD, where the antisymmetric first difference is
     D psi[k] = (psi[k-2] - 8 psi[k-1] + 8 psi[k+1] - psi[k+2])/(12 h). The
     matrix is exactly Hermitian. Returns the real diagonal and the complex
-    first and second superdiagonals. An entry that overflows is left
-    infinite or NaN, without a warning, for the caller's finiteness check.
+    first and second superdiagonals. Raises ValueError, without a numpy
+    warning, if an entry overflows to inf or NaN.
     """
     n = x.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,6 +191,8 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
         if g.beta != 0.0:
             up1 -= 1j * g.beta * (x[:-1] + x[1:]) / (3.0 * h)
             up2 += 1j * g.beta * (x[:-2] + x[2:]) / (24.0 * h)
+    if not (np.isfinite(diag).all() and np.isfinite(up1).all() and np.isfinite(up2).all()):
+        raise ValueError("Hamiltonian bands must not contain infs or NaNs")
     return diag, up1, up2
 
 
@@ -209,11 +208,11 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     conserved to solver accuracy; one sub-step alone can scale a mode by
     up to sqrt(3). The spatial error is O(h^4), the time error O(tau^4).
 
-    Each entry factors M once per shift by LAPACK's partially pivoted
-    band LU (``zgbtrf``, see ``_cayley_lu``). A sub-step then solves
-    M y = psi with ``zgbtrs`` and sets psi' = 2 s y - psi. Both
-    factorizations, the state and the work vector are allocated once per
-    call, before anything else.
+    Each entry builds H once and factors M once per shift by LAPACK's
+    partially pivoted band LU (``zgbtrf``, see ``_cayley_lu``). A sub-step
+    then solves M y = psi with ``zgbtrs`` and sets psi' = 2 s y - psi.
+    Both factorizations, the state and the work vector are allocated once
+    per call, before anything else.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
@@ -234,7 +233,9 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
-        factors = [_cayley_lu(g, x, h, shift, tau, ab) for shift, ab in zip(_PADE_SHIFTS, bands)]
+        H = _hamiltonian_bands(g, x, h)
+        factors = [_cayley_lu(*H, shift, tau, ab) for shift, ab in zip(_PADE_SHIFTS, bands)]
+        del H  # stepping needs only the factors; freed here, the bands add nothing to peak memory
         for _ in range(steps):
             for shift, (lu, piv) in zip(_PADE_SHIFTS, factors):
                 # a sum that overflows is re-checked entry by entry

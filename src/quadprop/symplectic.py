@@ -2,7 +2,7 @@
 
 The Heisenberg-picture map of a quadratic generator is linear,
 (Q, P) = (Aq + Bp, Cq + Dp) with AD - BC = 1. This module builds the
-matrix from a generator (through the same gc/gs functions as the
+matrix from a generator (through ``lie_core._flow``, the gc/gs of the
 normal ordering), converts to and from the (s, r) factors, composes
 maps, and provides ``_expm``, the one matrix exponential of both oracles
 (classical ``matrix_exp_oracle`` and Fock). It also parses the schedule
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import _ONE, INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _gc_gs
+from .lie_core import INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _flow
 
 __all__ = [
     "AbcdMatrix",
@@ -64,11 +64,10 @@ def abcd_from_generator(g: QuadraticGenerator) -> AbcdMatrix:
     """ABCD matrix of the generator's phase-space flow.
 
     A = gc + beta*gs, B = alpha*gs, C = -gamma*gs, D = gc - beta*gs,
-    with gc, gs evaluated at delta_sq = beta^2 - alpha*gamma. The
-    determinant is gc^2 - delta_sq*gs^2 = 1 identically.
+    with gc, gs of ``lie_core._flow`` at delta_sq = beta^2 - alpha*gamma.
+    The determinant is gc^2 - delta_sq*gs^2 = 1 identically.
     """
-    a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
-    gcv, gsv = _gc_gs(b * b - a * c)
+    a, b, c, _, gcv, gsv = _flow(g)
     return AbcdMatrix(
         a=float(gcv + b * gsv),
         b=float(a * gsv),

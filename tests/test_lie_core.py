@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from quadprop.lie_core import (
     QuadraticGenerator,
-    gc,
-    gs,
+    _flow,
     normal_order,
     to_su11,
 )
 from quadprop.verify import random_generators
+
+
+def gc_gs(x):
+    """gc(x) and gs(x) from ``_flow`` of the generator (1, 0, -x), whose delta_sq is exactly x."""
+    *_, delta_sq, gcv, gsv = _flow(QuadraticGenerator(1.0, 0.0, -x))
+    assert delta_sq == x
+    return float(gcv), float(gsv)
 
 
 def _series_cosh1_sinh1():
@@ -67,45 +73,41 @@ class TestToSU11:
 
 class TestGcGs:
     def test_values_at_zero(self):
-        assert gc(0.0) == 1.0
-        assert gs(0.0) == 1.0
+        assert gc_gs(0.0) == (1.0, 1.0)
 
     def test_trigonometric_branch(self):
-        x = -(np.pi**2) / 4.0
-        assert gc(x) == pytest.approx(0.0, abs=1e-15)
-        assert gs(x) == pytest.approx(2.0 / np.pi, abs=1e-15)
+        gc, gs = gc_gs(-(np.pi**2) / 4.0)
+        assert gc == pytest.approx(0.0, abs=1e-15)
+        assert gs == pytest.approx(2.0 / np.pi, abs=1e-15)
 
     def test_hyperbolic_branch_against_series(self):
         cosh1, sinh1 = _series_cosh1_sinh1()
-        assert gc(1.0) == pytest.approx(cosh1, abs=1e-14)
-        assert gs(1.0) == pytest.approx(sinh1, abs=1e-14)
+        gc, gs = gc_gs(1.0)
+        assert gc == pytest.approx(cosh1, abs=1e-14)
+        assert gs == pytest.approx(sinh1, abs=1e-14)
         # frozen reference values
-        assert gc(1.0) == pytest.approx(1.5430806348152437, abs=1e-12)
-        assert gs(1.0) == pytest.approx(1.1752011936438014, abs=1e-12)
+        assert gc == pytest.approx(1.5430806348152437, abs=1e-12)
+        assert gs == pytest.approx(1.1752011936438014, abs=1e-12)
 
     @pytest.mark.parametrize("x", [-1e-9, 1e-9])
     def test_continuous_near_zero(self, x):
-        assert abs(gc(x) - 1.0) < 1e-7
-        assert abs(gs(x) - 1.0) < 1e-7
+        gc, gs = gc_gs(x)
+        assert abs(gc - 1.0) < 1e-7
+        assert abs(gs - 1.0) < 1e-7
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_series_matches_direct_at_cutoff(self, side):
         # both expressions must agree where the implementation switches over
         x = side * 1e-4
+        gc, gs = gc_gs(x)
         direct = math.cosh(math.sqrt(x)) if x > 0 else math.cos(math.sqrt(-x))
-        assert gc(x) == pytest.approx(direct, abs=1e-14)
+        assert gc == pytest.approx(direct, abs=1e-14)
         direct = (
             math.sinh(math.sqrt(x)) / math.sqrt(x)
             if x > 0
             else math.sin(math.sqrt(-x)) / math.sqrt(-x)
         )
-        assert gs(x) == pytest.approx(direct, abs=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            gc(math.nan)
-        with pytest.raises(ValueError):
-            gs(math.inf)
+        assert gs == pytest.approx(direct, abs=1e-14)
 
 
 class TestNormalOrder:

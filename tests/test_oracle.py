@@ -246,6 +246,21 @@ class TestGridEvolve:
         for (first, _), (again, _) in zip(calls[:2], calls[2:]):
             assert np.shares_memory(first, again)
 
+    def test_hamiltonian_built_once_per_entry(self, monkeypatch):
+        # both Pade shifts factor the same H, so each entry builds its bands once
+        calls = []
+        real = oracle._hamiltonian_bands
+
+        def counting_bands(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_hamiltonian_bands", counting_bands)
+        schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=512)
+        grid_evolve(schedule, grid, steps=2)
+        assert calls == schedule
+
     def test_singular_factorization_raises(self, monkeypatch):
         # zgbtrf's info = k > 0 reports U[k-1, k-1] = 0
         def singular(ab, kl, ku, overwrite_ab):

@@ -6,6 +6,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from quadprop.coherent_iwop import CoherentLabel, kernel_via_iwop, sandwich
 from quadprop.errors import FocalPointError, NonConvergentError
@@ -173,7 +174,7 @@ class TestWavepacket:
     def test_norm_against_quadrature(self):
         psi = GaussianWavepacket(0.5, 2.0, 1.3).to_complex()
         x = np.linspace(-20, 20, 40001)
-        num = math.sqrt(np.trapezoid(np.abs(psi.evaluate(x)) ** 2, x))
+        num = math.sqrt(trapezoid(np.abs(psi.evaluate(x)) ** 2, x))
         assert psi.norm() == pytest.approx(num, abs=1e-9)
 
     def test_moments_against_quadrature(self):
@@ -181,10 +182,10 @@ class TestWavepacket:
         x = np.linspace(-20, 20, 40001)
         vals = psi.evaluate(x)
         dens = np.abs(vals) ** 2
-        mean_q = np.trapezoid(x * dens, x)
+        mean_q = trapezoid(x * dens, x)
         assert psi.mean_position() == pytest.approx(mean_q, abs=1e-9)
         dpsi = np.gradient(vals, x)
-        mean_p = np.trapezoid((vals.conjugate() * dpsi).imag, x)
+        mean_p = trapezoid((vals.conjugate() * dpsi).imag, x)
         # second-order finite differences limit the oracle to ~1e-6 here
         assert psi.mean_momentum() == pytest.approx(mean_p, abs=1e-5)
 
@@ -237,7 +238,7 @@ class TestConvolve:
         q = np.linspace(-30, 30, 120001)
         vals = psi.evaluate(q)
         for Q in (-1.0, 0.0, 1.5):
-            num = np.trapezoid(k.evaluate(q, Q) * vals, q)
+            num = trapezoid(k.evaluate(q, Q) * vals, q)
             assert out.evaluate(Q) == pytest.approx(num, abs=1e-7)
 
 

@@ -3,9 +3,10 @@
 Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
 inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
-failure, 2 parse error, 3 focal point, 4 boundary leak, 5 precision loss
-(an invariant guard, a non-finite value in JSON, in the decompose or
-kernel report or in evolve's l2_diff, or an overflowing intermediate).
+failure, 2 parse error (or a grid too large to allocate), 3 focal point,
+4 boundary leak, 5 precision loss (an invariant guard, a non-finite value
+in JSON, in the decompose or kernel report or in evolve's l2_diff, or an
+overflowing intermediate).
 """
 
 from __future__ import annotations
@@ -293,14 +294,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _prepare(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a grid too large to allocate is as unusable as a malformed one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         # an overflow is reported once, by the guard or the finiteness check it trips
         with np.errstate(over="ignore", invalid="ignore"):
             return _DISPATCH[args.command](args)
-    except (ScheduleError, OSError) as exc:
+    except (ScheduleError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FocalPointError as exc:

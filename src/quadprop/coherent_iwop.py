@@ -33,7 +33,11 @@ __all__ = [
 ]
 
 _PI_QUARTER = np.pi ** (-0.25)
+# The measure 1/pi^2 times the two overlaps' pi^{-1/4} each.
+_PI_M52 = np.pi ** (-2.5)
 _RT2 = math.sqrt(2.0)
+_TWO_PI_SQ = (2.0 * math.pi) ** 2.0
+_INDEFINITE = "real part of the quadratic form is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -85,17 +89,22 @@ def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> com
 
 
 def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
-    """Closed form (2 pi)^{n/2} / sqrt(det M) * exp(J^T M^{-1} J / 2 + const)
-    of int d^n x exp(-x^T M x / 2 + J^T x + const), for Re M > 0.
+    """Closed form (2 pi)^2 / sqrt(det M) * exp(J^T M^{-1} J / 2 + const)
+    of int d^4 x exp(-x^T M x / 2 + J^T x + const), for Re M > 0.
 
-    ``matrix`` is the complex symmetric M as n row lists and ``linear``
-    the complex vector J as a list; the sweep overwrites both.
+    ``matrix`` is the complex symmetric 4x4 M as four row lists, of which
+    only the lower triangle is read, and ``linear`` the complex 4-vector J
+    as a list. Neither is modified. Another size fails on unpacking with
+    a ValueError: the coherent-state integrand is the only form built.
 
-    One sweep of symmetric elimination without pivoting, in plain Python,
-    factors Re M and M side by side. The real LDL^T of Re M is the
-    convergence check: a pivot that is not > 0 raises NonConvergentError.
-    The complex LDL^T of M, with y = L^{-1} J substituted in the same loop,
-    gives det M = prod d_k and J^T M^{-1} J = sum y_k^2 / d_k.
+    One sweep of symmetric elimination without pivoting, in plain Python
+    and written out for four dimensions, factors Re M and M side by side.
+    The real LDL^T of Re M is the convergence check: a pivot that is not
+    > 0 raises NonConvergentError. The complex LDL^T of M, with
+    y = L^{-1} J substituted in the same sweep, gives det M = prod d_k and
+    J^T M^{-1} J = sum y_k^2 / d_k. Step k divides column k below the
+    diagonal by the pivots and updates the trailing lower triangle, row by
+    row, entry by entry, in that order.
 
     Branch of sqrt(det M): the Hermitian part of the complex symmetric M
     is Re M > 0, and every Schur complement inherits a positive definite
@@ -107,32 +116,64 @@ def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
     prod sqrt(d_k) over principal roots is the continuation of the
     positive root at t = 0, even where det M winds past the cut.
     """
-    a, y = matrix, linear
-    re = [[z.real for z in row] for row in a]
-    n = len(a)
-    sqrt_det = 1.0
-    quad = 0.0
-    for k in range(n):
-        p = re[k][k]
-        if not p > 0.0:
-            raise NonConvergentError(
-                "real part of the quadratic form is not positive definite"
-            )
-        d = a[k][k]
-        yk = y[k]
-        sqrt_det *= cmath.sqrt(d)
-        quad += yk * yk / d
-        for i in range(k + 1, n):
-            ri, ai = re[i], a[i]
-            lr = ri[k] / p
-            lc = ai[k] / d
-            y[i] -= lc * yk
-            # Update the lower triangle of the trailing block; column k
-            # below the diagonal is read, never written, in this step.
-            for j in range(k + 1, i + 1):
-                ri[j] -= lr * re[j][k]
-                ai[j] -= lc * a[j][k]
-    return (2.0 * math.pi) ** (n / 2.0) / sqrt_det * cmath.exp(0.5 * quad + constant)
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = matrix
+    y0, y1, y2, y3 = linear
+    r00, r10, r11, r20, r21, r22, r30, r31, r32, r33 = (
+        a00.real, a10.real, a11.real, a20.real, a21.real, a22.real,
+        a30.real, a31.real, a32.real, a33.real)
+
+    if not r00 > 0.0:
+        raise NonConvergentError(_INDEFINITE)
+    sqrt_det = 1.0 * cmath.sqrt(a00)
+    quad = 0.0 + y0 * y0 / a00
+    lr, lc = r10 / r00, a10 / a00
+    y1 -= lc * y0
+    r11 -= lr * r10
+    a11 -= lc * a10
+    lr, lc = r20 / r00, a20 / a00
+    y2 -= lc * y0
+    r21 -= lr * r10
+    a21 -= lc * a10
+    r22 -= lr * r20
+    a22 -= lc * a20
+    lr, lc = r30 / r00, a30 / a00
+    y3 -= lc * y0
+    r31 -= lr * r10
+    a31 -= lc * a10
+    r32 -= lr * r20
+    a32 -= lc * a20
+    r33 -= lr * r30
+    a33 -= lc * a30
+
+    if not r11 > 0.0:
+        raise NonConvergentError(_INDEFINITE)
+    sqrt_det *= cmath.sqrt(a11)
+    quad += y1 * y1 / a11
+    lr, lc = r21 / r11, a21 / a11
+    y2 -= lc * y1
+    r22 -= lr * r21
+    a22 -= lc * a21
+    lr, lc = r31 / r11, a31 / a11
+    y3 -= lc * y1
+    r32 -= lr * r21
+    a32 -= lc * a21
+    r33 -= lr * r31
+    a33 -= lc * a31
+
+    if not r22 > 0.0:
+        raise NonConvergentError(_INDEFINITE)
+    sqrt_det *= cmath.sqrt(a22)
+    quad += y2 * y2 / a22
+    lr, lc = r32 / r22, a32 / a22
+    y3 -= lc * y2
+    r33 -= lr * r32
+    a33 -= lc * a32
+
+    if not r33 > 0.0:
+        raise NonConvergentError(_INDEFINITE)
+    sqrt_det *= cmath.sqrt(a33)
+    quad += y3 * y3 / a33
+    return _TWO_PI_SQ / sqrt_det * cmath.exp(0.5 * quad + constant)
 
 
 def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
@@ -145,6 +186,12 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     The caustic guard reads B = Im s - Im r. Below |B| of about 3e-8 the
     real part of the form is singular in double precision, and the
     integral raises NonConvergentError.
+
+    (s, r) come from ``normal_order``, whose ``_flow`` returns the memoised
+    flow when g is the generator object of the last call, as in a
+    ``kernel --check`` after ``abcd_from_generator(g)``. The form goes to
+    the 4-dimensional ``gaussian_integral`` as nested lists it leaves as
+    they are.
     """
     f = normal_order(g)
     require_off_caustic(f.s.imag - f.r.imag)
@@ -164,6 +211,6 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     j = [complex(_RT2 * Q), 1j * _RT2 * Q, complex(_RT2 * q), -1j * _RT2 * q]
 
     integral = gaussian_integral(m, j, -0.5 * (q * q + Q * Q))
-    # Measure 1/pi^2, two overlaps pi^{-1/4} each, and 1/sqrt(s) from the
-    # coherent matrix element.
-    return integral * np.pi ** (-2.5) / cmath.sqrt(f.s)
+    # Measure and overlaps (_PI_M52), and 1/sqrt(s) from the coherent
+    # matrix element.
+    return integral * _PI_M52 / cmath.sqrt(f.s)

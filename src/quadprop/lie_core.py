@@ -40,6 +40,9 @@ _ONE = np.longdouble(1)
 # a unitary (symplectic) map by the dictionaries and the kernel builders.
 INVARIANT_TOL = 1e-8
 
+# (generator, flow) of the last ``_flow`` call; see its docstring.
+_last_flow = (None, None)
+
 
 @dataclass(frozen=True)
 class QuadraticGenerator:
@@ -128,16 +131,31 @@ def _flow(g: QuadraticGenerator):
     gc = cosh(sqrt(x)) and gs = sinh(sqrt(x))/sqrt(x) at x = delta_sq > 0,
     cos(sqrt(-x)) and sin(sqrt(-x))/sqrt(-x) at x < 0. Both are entire: for
     |x| < 1e-4 they are the Taylor series 1 + x/2 + x^2/24 and 1 + x/6 + x^2/120.
+
+    The last result is kept with its generator in one (g, flow) tuple, so
+    that ``normal_order``, ``abcd_from_generator`` and ``kernel_via_iwop``
+    on the same generator object lift it and call cosh/sinh once, and a
+    thread never pairs one generator with another's flow. The memo is keyed
+    by identity (``g is last``): an equal but distinct generator is lifted
+    again, to the same bits. A repeated call on the same object returns the
+    stored flow, so it emits no second numpy overflow warning.
     """
+    global _last_flow
+    last, flow = _last_flow
+    if last is g:
+        return flow
     a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
     x = b * b - a * c
     if abs(x) < _SERIES_CUTOFF:
-        return a, b, c, x, 1 + x / 2 + x * x / 24, 1 + x / 6 + x * x / 120
-    if x > 0:
+        flow = a, b, c, x, 1 + x / 2 + x * x / 24, 1 + x / 6 + x * x / 120
+    elif x > 0:
         rt = np.sqrt(x)
-        return a, b, c, x, np.cosh(rt), np.sinh(rt) / rt
-    rt = np.sqrt(-x)
-    return a, b, c, x, np.cos(rt), np.sin(rt) / rt
+        flow = a, b, c, x, np.cosh(rt), np.sinh(rt) / rt
+    else:
+        rt = np.sqrt(-x)
+        flow = a, b, c, x, np.cos(rt), np.sin(rt) / rt
+    _last_flow = (g, flow)
+    return flow
 
 
 def normal_order(g: QuadraticGenerator) -> NormalOrderFactors:
@@ -156,7 +174,10 @@ def normal_order(g: QuadraticGenerator) -> NormalOrderFactors:
     the pair) and -6e-5 at 200; relative to |s|^2 it stays near 1e-16.
     """
     a, b, c, _, gcv, gsv = _flow(g)
-    sigma = -(a + c)
-    s = complex(float(gcv), float(-0.5 * sigma * gsv))
-    r = complex(float(-b * gsv), float(-0.5 * (a - c) * gsv))
+    # -(sigma/2) gs = (a + c) h and -((a - c)/2) gs = (a - c) (-h) with
+    # h = gs/2, to the bit: halving is exact and the signs, of zeros too,
+    # follow. (c - a) h would turn the -0.0 of Im r at alpha = gamma into +0.0.
+    h = gsv * 0.5
+    s = complex(float(gcv), float((a + c) * h))
+    r = complex(float(-b * gsv), float((a - c) * -h))
     return NormalOrderFactors(s=s, r=r)

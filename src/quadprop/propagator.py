@@ -45,6 +45,11 @@ __all__ = [
     "named_generator",
 ]
 
+# e^{-i pi/4} and e^{+i pi/4}, the prefactor phases of ``kernel_from_abcd``
+# for B > 0 and B < 0.
+_PHASE_B_POSITIVE = cmath.exp(1j * (-np.pi / 4.0))
+_PHASE_B_NEGATIVE = cmath.exp(1j * (np.pi / 4.0))
+
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -240,8 +245,8 @@ def kernel_from_abcd(m: AbcdMatrix) -> GaussianKernel:
     m.require_symplectic()
     inv_b, a_over_2b, d_over_2b = _w_coefficients(m)
     mag = 1.0 / math.sqrt(2.0 * np.pi * abs(m.b))
-    phase = -np.pi / 4.0 if m.b > 0 else np.pi / 4.0
-    return GaussianKernel(mag * cmath.exp(1j * phase), -1j * inv_b, 1j * a_over_2b, 1j * d_over_2b)
+    phase = _PHASE_B_POSITIVE if m.b > 0 else _PHASE_B_NEGATIVE
+    return GaussianKernel(mag * phase, -1j * inv_b, 1j * a_over_2b, 1j * d_over_2b)
 
 
 def generating_function(m: AbcdMatrix) -> GeneratingFunctionW:

@@ -68,11 +68,12 @@ def abcd_from_generator(g: QuadraticGenerator) -> AbcdMatrix:
     The determinant is gc^2 - delta_sq*gs^2 = 1 identically.
     """
     a, b, c, _, gcv, gsv = _flow(g)
+    bgs = b * gsv
     return AbcdMatrix(
-        a=float(gcv + b * gsv),
+        a=float(gcv + bgs),
         b=float(a * gsv),
         c=float(-c * gsv),
-        d=float(gcv - b * gsv),
+        d=float(gcv - bgs),
     )
 
 

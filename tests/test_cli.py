@@ -227,10 +227,12 @@ class TestEvolve:
         ["--width", "1e-80", "--center-q", "1e150"],
         ["--n-points", "512", "--x-min=-1e-300", "--x-max", "1e-300"],
         ["--x-min=-1e308", "--x-max", "1e308"],
+        # 2^50 points exceed the address space: the allocation fails at once
+        ["--n-points", str(2**50)],
     ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
             "infinite-interval", "width-squared-underflows", "center-squared-overflows",
             "width-squared-subnormal", "center-over-width-squared-overflows",
-            "spacing-squared-underflows", "interval-width-overflows"])
+            "spacing-squared-underflows", "interval-width-overflows", "grid-exceeds-memory"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
         sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])

@@ -26,6 +26,19 @@ def _integral(m, j, constant=0.0):
     return gaussian_integral(m.tolist(), j.tolist(), constant)
 
 
+def _embedded(m, j, constant=0.0):
+    """``gaussian_integral`` of an n x n form as the leading block of a 4 x 4
+    whose other block is the identity, with J padded by zeros, and
+    (2 pi)^{(4 - n)/2}, the identity block's factor of that integral, by
+    which an n-dimensional reference is multiplied."""
+    n = len(j)
+    m4 = np.eye(4, dtype=complex)
+    m4[:n, :n] = m
+    j4 = np.zeros(4, dtype=complex)
+    j4[:n] = j
+    return _integral(m4, j4, constant), (2.0 * np.pi) ** ((4 - n) / 2.0)
+
+
 def _eigen_sqrt_det(m):
     """sqrt(det M) by the eigenvalue construction, the reference branch.
 
@@ -124,8 +137,8 @@ class TestGaussianIntegral:
     def test_one_dimensional_against_quadrature(self):
         m = np.array([[2.0 + 3.0j]])
         j = np.array([0.3 - 0.2j])
-        got = _integral(m, j, constant=0.1j)
-        ref = quad(
+        got, rest = _embedded(m, j, constant=0.1j)
+        ref = rest * quad(
             lambda x: cmath.exp(-0.5 * m[0, 0] * x * x + j[0] * x + 0.1j),
             -30.0, 30.0, complex_func=True,
         )[0]
@@ -161,7 +174,8 @@ class TestGaussianIntegral:
                     sqrt_det = _eigen_sqrt_det(m)
                     ref = ((2.0 * np.pi) ** (n / 2.0) / sqrt_det
                            * cmath.exp(0.5 * j @ np.linalg.solve(m, j) + 0.2 - 0.1j))
-                    got = _integral(m, j, constant=0.2 - 0.1j)
+                    got, rest = _embedded(m, j, constant=0.2 - 0.1j)
+                    ref *= rest
                     worst = max(worst, abs(got - ref) / abs(ref))
                     count += 1
                     off_sheet += abs(cmath.sqrt(np.linalg.det(m)) + sqrt_det) < abs(sqrt_det)
@@ -174,12 +188,25 @@ class TestGaussianIntegral:
         # factorization of Re M can reject this form.
         m = np.array([[1.0, 2.0j], [2.0j, -1.0]])
         with pytest.raises(NonConvergentError, match="not positive definite"):
-            _integral(m, np.zeros(2))
+            _embedded(m, np.zeros(2))
 
     def test_rejects_indefinite_real_part(self):
         m = np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex)
         with pytest.raises(NonConvergentError):
             _integral(m, np.zeros(4))
+
+    def test_leaves_its_inputs_unchanged(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 4, 4))
+        m = (a @ a.T + np.eye(4) + 1j * (b + b.T)).tolist()
+        j = (rng.normal(size=4) + 1j * rng.normal(size=4)).tolist()
+        m_before, j_before = [row[:] for row in m], j[:]
+        gaussian_integral(m, j, 0.3)
+        assert m == m_before and j == j_before
+
+    def test_rejects_a_form_that_is_not_4x4(self):
+        with pytest.raises(ValueError, match="unpack"):
+            gaussian_integral(np.eye(3).tolist(), [0.0, 0.0, 0.0])
 
 
 class TestKernelViaIwop:

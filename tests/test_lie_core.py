@@ -1,6 +1,8 @@
 """Unit tests for the su(1,1) mapping and the normal-ordered factorization."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from quadprop.lie_core import (
     normal_order,
     to_su11,
 )
+from quadprop.coherent_iwop import kernel_via_iwop
+from quadprop.symplectic import abcd_from_generator
 from quadprop.verify import random_generators
 
 
@@ -144,3 +148,83 @@ class TestNormalOrder:
 def test_unitarity_property(alpha, beta, gamma):
     f = normal_order(QuadraticGenerator(alpha, beta, gamma))
     assert abs(f.unitarity_residual()) < 1e-10
+
+
+class TestFlowMemo:
+    """``_flow`` keeps its last (generator, flow) pair; no result may depend on it.
+
+    Results are compared by ``repr``, which tells -0.0 from 0.0, so equal
+    means the same bits. Each reference is computed on a fresh copy of the
+    generator right after a call on an unrelated one, so it cannot come
+    from the memo of the generator under test.
+    """
+
+    # elliptic with alpha == gamma (Im r is -0.0), hyperbolic, and the series branch
+    GENS = [(1.0, 0.0, 1.0), (0.3, 2.5, -1.7), (1e-3, 2e-3, 0.05)]
+
+    @staticmethod
+    def _fresh(g):
+        _flow(QuadraticGenerator(0.25, 0.5, 0.75))
+        copy = QuadraticGenerator(g.alpha, g.beta, g.gamma)
+        return repr(normal_order(copy)), repr(abcd_from_generator(copy))
+
+    def test_interleaved_generators_keep_their_own_factors(self):
+        g1, g2, g3 = (QuadraticGenerator(*v) for v in self.GENS)
+        refs = {id(g): self._fresh(g) for g in (g1, g2, g3)}
+        for g in (g1, g2, g1, g3, g1, g2, g2, g3):
+            assert repr(normal_order(g)) == refs[id(g)][0]
+            assert repr(abcd_from_generator(g)) == refs[id(g)][1]
+        assert refs[id(g1)] != refs[id(g2)]
+
+    def test_equal_but_distinct_generator_gives_the_same_bits(self):
+        for v in self.GENS:
+            g = QuadraticGenerator(*v)
+            f, m = repr(normal_order(g)), repr(abcd_from_generator(g))
+            twin = QuadraticGenerator(*v)
+            assert twin is not g and twin == g
+            assert repr(normal_order(twin)) == f
+            assert repr(abcd_from_generator(twin)) == m
+
+    def test_equal_generator_with_other_signed_zeros_gets_its_own_bits(self):
+        # the memo is keyed by identity, not ==, under which -0.0 == 0.0
+        plus, minus = QuadraticGenerator(0.0, 0.0, 0.0), QuadraticGenerator(-0.0, 0.0, -0.0)
+        assert plus == minus
+        ref_plus, ref_minus = self._fresh(plus), self._fresh(minus)
+        assert ref_plus[0] != ref_minus[0]
+        for g, ref in ((plus, ref_plus), (minus, ref_minus), (plus, ref_plus)):
+            assert repr(normal_order(g)) == ref[0]
+            assert repr(abcd_from_generator(g)) == ref[1]
+
+    def test_threads_sharing_the_memo_keep_their_own_factors(self):
+        # more threads than cores, switching often: a thread that paired one
+        # generator with another's flow would see the wrong factors
+        gens = [QuadraticGenerator(*v) for v in self.GENS] + [QuadraticGenerator(2.0, -0.4, 0.9)]
+        refs = [self._fresh(g) for g in gens]
+        wrong = []
+
+        def work(k):
+            g, ref = gens[k], refs[k]
+            for _ in range(2000):
+                if (repr(normal_order(g)), repr(abcd_from_generator(g))) != ref:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(gens))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_factors_after_kernel_via_iwop_match_a_fresh_copy(self):
+        for v in self.GENS:
+            g = QuadraticGenerator(*v)
+            ref = self._fresh(g)
+            kernel_via_iwop(g, 0.3, -0.7)
+            assert repr(normal_order(g)) == ref[0]
+            assert repr(abcd_from_generator(g)) == ref[1]

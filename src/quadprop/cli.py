@@ -56,13 +56,14 @@ def _csv_blocks(*columns):
     """CSV text of equal-length numeric arrays, ``_CSV_BLOCK`` rows per chunk.
 
     One newline-ended line per index, cells as ``_fmt``. Python floats
-    format faster than numpy scalars; converting a block of rows at a time
-    keeps only that block's floats and text alive.
+    format faster than numpy scalars; a block's cells, interleaved row by
+    row, go through one ``%`` with the block's whole format, which keeps
+    only that block's floats and text alive.
     """
     row = ",".join(["%.12e"] * len(columns)) + "\n"
     for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
-        yield "".join([row % cells for cells in zip(*block)])
+        cells = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns]).ravel().tolist()
+        yield row * (len(cells) // len(columns)) % tuple(cells)
 
 
 def _emit(args, chunks) -> None:

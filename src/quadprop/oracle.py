@@ -17,7 +17,9 @@ Two deliberately dumb routes that know nothing about the closed forms:
   time error is O(tau^4), in product form: two shifted Cayley sub-steps
   psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi with
   M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
-  shift with LAPACK zgbtrf; a sub-step is one zgbtrs solve and two updates.
+  shift with LAPACK zgbtrf. Where that exchanged no rows, a sub-step
+  solves with two BLAS ztbsv sweeps on zgbtrf's own factors, L and then
+  U; where it exchanged rows, with one zgbtrs solve. Two updates follow.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import ztbsv
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import BoundaryLeakError
@@ -154,9 +157,11 @@ def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: comple
     H has the bands ``(diag, up1, up2)`` of ``_hamiltonian_bands``. M goes
     into the 7 x n Fortran-ordered complex buffer ``ab`` in LAPACK band
     storage, M[i, j] at ab[4 + i - j, j], and ``zgbtrf`` overwrites it with
-    the partially pivoted factors, using rows 0 and 1 for fill-in. Returns
-    the factors and pivot indices for ``zgbtrs``. Raises LinAlgError if U
-    has a zero or non-finite diagonal.
+    the partially pivoted factors: U in rows 0-4, using rows 0 and 1 for
+    fill-in, and the multipliers L[j + k, j] at ab[4 + k, j] for k = 1, 2.
+    Returns the factors and the pivot indices, or None in place of the
+    pivots if no rows were exchanged; ``_cayley_solve`` takes the pair.
+    Raises LinAlgError if U has a zero or non-finite diagonal.
     """
     c = 1j * tau
     ab[2, 2:] = c * up2
@@ -168,7 +173,28 @@ def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: comple
     lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0 or not np.isfinite(lu[4]).all():
         raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
-    return lu, piv
+    # row j's pivot is one of rows j, j + 1 and j + 2 (0-based), so the
+    # pivots are the identity exactly when they sum to 0 + 1 + ... + (n - 1)
+    n = piv.size
+    return lu, (None if piv.sum() == n * (n - 1) // 2 else piv)
+
+
+def _cayley_solve(lu: np.ndarray, piv, lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overwrite ``b`` with M^-1 b for the factors ``(lu, piv)`` of ``_cayley_lu``.
+
+    Without row exchanges (``piv`` None), M = L U is solved by two BLAS
+    band sweeps on the factors where they lie: ``ztbsv`` over the unit
+    lower L, read from ``lower``, and then over U, read from ``lu`` as
+    ``zgbtrs`` reads it. ``lower`` is the same memory as ``lu`` from row 4
+    on, with leading dimension 7 (lower[k, j] = lu[4 + k, j]), so its rows
+    1 and 2 hold the multipliers. Reference ``zgbtrs`` applies L by one
+    rank-1 update per row, which costs more than the whole sweep; it still
+    solves where rows were exchanged, which no single sweep can undo.
+    """
+    if piv is None:
+        ztbsv(2, lower, b, lower=1, diag=1, overwrite_x=1)
+        return ztbsv(4, lu, b, overwrite_x=1)
+    return zgbtrs(lu, 2, 2, b, piv, overwrite_b=1)[0]
 
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
@@ -210,9 +236,12 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
 
     Each entry builds H once and factors M once per shift by LAPACK's
     partially pivoted band LU (``zgbtrf``, see ``_cayley_lu``). A sub-step
-    then solves M y = psi with ``zgbtrs`` and sets psi' = 2 s y - psi.
-    Both factorizations, the state and the work vector are allocated once
-    per call, before anything else.
+    then solves M y = psi and sets psi' = 2 s y - psi. The solve is two
+    BLAS ``ztbsv`` sweeps, over L and then over U, if the factorization
+    exchanged no rows, and one ``zgbtrs`` solve if it did (see
+    ``_cayley_solve``). Both factorizations, the state and the work vector
+    are allocated once per call, before anything else; the sweeps read L
+    in place.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
@@ -227,22 +256,27 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     # one allocation, made before any other, for both shifts' bands, the state
     # and the work vector: separate arrays left more heap resident
     buf = np.zeros(16 * n, dtype=complex)
-    bands = buf[:14 * n].reshape(2, n, 7).transpose(0, 2, 1)
+    # shift k's 7 x n band storage is buf[7 n k:7 n (k + 1)], column by column;
+    # its L view starts 4 entries on, so shift 1's runs 4 entries into psi,
+    # in rows that the lower sweep never reads
+    bands = [buf[7 * n * k:7 * n * (k + 1)].reshape(n, 7).T for k in (0, 1)]
+    lowers = [buf[7 * n * k + 4:7 * n * (k + 1) + 4].reshape(n, 7).T for k in (0, 1)]
     psi, work = buf[14 * n:].reshape(2, n)
     psi[:] = psi0.amplitudes
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
         H = _hamiltonian_bands(g, x, h)
-        factors = [_cayley_lu(*H, shift, tau, ab) for shift, ab in zip(_PADE_SHIFTS, bands)]
+        factors = [(*_cayley_lu(*H, shift, tau, ab), lower)
+                   for shift, ab, lower in zip(_PADE_SHIFTS, bands, lowers)]
         del H  # stepping needs only the factors; freed here, the bands add nothing to peak memory
         for _ in range(steps):
-            for shift, (lu, piv) in zip(_PADE_SHIFTS, factors):
+            for shift, factor in zip(_PADE_SHIFTS, factors):
                 # a sum that overflows is re-checked entry by entry
                 if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
                     raise ValueError("grid amplitudes must not contain infs or NaNs")
                 np.copyto(work, psi)
-                work = zgbtrs(lu, 2, 2, work, piv, overwrite_b=1)[0]
+                work = _cayley_solve(*factor, work)
                 work *= 2.0 * shift
                 work -= psi
                 psi, work = work, psi

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,18 +152,26 @@ class GaussianWavepacket:
                 raise ValueError(f"{name} must be finite")
 
     def to_complex(self) -> "ComplexGaussian":
-        """Raises ValueError if width^2 underflows, or center_q^2 or center_q/width^2 overflows."""
+        """Raises ValueError if width^2 underflows, center_q^2 or center_q/width^2
+        overflows, or the amplitude or its factor e^{-center_q^2/(2 width^2)}
+        is below the normal range (|center_q|/width above about 37.6).
+        """
         w2 = self.width * self.width
         try:
             quad = complex(-0.5 / w2, 0.0)
             lin = complex(self.center_q / w2, self.center_p)
-            amp = (np.pi * w2) ** (-0.25) * cmath.exp(
-                complex(-0.5 * self.center_q**2 / w2, self.phase)
-            )
+            decay = cmath.exp(complex(-0.5 * self.center_q**2 / w2, self.phase))
+            amp = (np.pi * w2) ** (-0.25) * decay
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot sample {self}: {exc}") from exc
         if not (cmath.isfinite(quad) and cmath.isfinite(lin)):
             raise ValueError(f"cannot sample {self}: its exponent is not finite")
+        # both must be normal: else amp is 0 and amp * exp(quad x^2 + lin x) is
+        # 0 * inf near the center, or, with a narrow packet's (pi width^2)^(-1/4)
+        # of up to 1e77, amp is normal but the exp overflows there
+        tiny = sys.float_info.min
+        if abs(decay) < tiny or abs(amp) < tiny:
+            raise ValueError(f"cannot sample {self}: its amplitude underflows")
         return ComplexGaussian(quad=quad, lin=lin, amp=amp)
 
     def evaluate(self, x):

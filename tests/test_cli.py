@@ -229,10 +229,15 @@ class TestEvolve:
         ["--x-min=-1e308", "--x-max", "1e308"],
         # 2^50 points exceed the address space: the allocation fails at once
         ["--n-points", str(2**50)],
+        # e^{-39^2/2} underflows the packet's amplitude to 0
+        ["--center-q", "39", "--x-min", "0", "--x-max", "80"],
+        # e^{-37.69^2/2} is subnormal, and e^{+37.69^2/2} at the center overflows
+        ["--width", "1e-100", "--center-q", "3.769e-99", "--x-min", "0", "--x-max", "8e-99"],
     ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
             "infinite-interval", "width-squared-underflows", "center-squared-overflows",
             "width-squared-subnormal", "center-over-width-squared-overflows",
-            "spacing-squared-underflows", "interval-width-overflows", "grid-exceeds-memory"])
+            "spacing-squared-underflows", "interval-width-overflows", "grid-exceeds-memory",
+            "amplitude-underflows", "narrow-amplitude-factor-subnormal"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
         sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
@@ -355,8 +360,10 @@ class TestVerifyCommand:
     (["decompose", "--", "-1e300", "0", "1e300"], None),
     (["kernel", "--", "-1e300", "0", "1e300", "0", "0"], None),
     (["compose"], "-1e300 0 1e300\n"),
-    # sampling the packet gives -inf + inf, and no grid step checks the amplitudes
-    (["evolve", "--center-q", "1", "--width", "1e-5", "--x-min=-1e300", "--x-max", "1e300",
+    # sampling the packet gives -inf + inf, and no grid step checks the amplitudes;
+    # center_q/width = 10 keeps its amplitude normal (at 37.6 and above it underflows,
+    # and the packet cannot be sampled: exit 2)
+    (["evolve", "--center-q", "1e-7", "--width", "1e-8", "--x-min=-1e300", "--x-max", "1e300",
       "--n-points", "512"], ""),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
         "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",

@@ -65,6 +65,20 @@ def _banded_substeps(schedule, grid, steps):
                 yield psi
 
 
+def _record(monkeypatch, name):
+    """Wrap ``oracle.<name>`` so that each call appends (args, kwargs, result)."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(oracle, name, recording)
+    return calls
+
+
 def _l2(out, state):
     diff = out.amplitudes - state.evaluate(out.x)
     return np.sqrt(np.sum(np.abs(diff) ** 2) * out.spacing)
@@ -206,10 +220,14 @@ class TestGridEvolve:
         with pytest.raises(BoundaryLeakError, match=f"^edge amplitude {edge:.3e} exceeds"):
             grid_evolve(schedule, grid, steps=steps)
 
-    def test_matches_banded_solve_per_substep(self):
+    def test_matches_banded_solve_per_substep(self, monkeypatch):
+        # neither entry's factorization exchanges rows, so every sub-step
+        # solves by the two band sweeps and none by zgbtrs
+        solves = _record(monkeypatch, "zgbtrs")
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
         out = grid_evolve(schedule, grid, steps=20)
+        assert solves == []
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 20)).max() <= 1e-14
 
     @pytest.mark.parametrize(
@@ -217,34 +235,39 @@ class TestGridEvolve:
         [((0.0, 0.5, 0.0), 512), ((3.0, 0.0, 0.0), 4096)],
         ids=["pure-squeeze", "stiff-free"],
     )
-    def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points):
+    def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points, monkeypatch):
         # both sides pivot: the squeeze's edge off-diagonals exceed its
         # diagonal, so the band LU exchanges rows there; the free particle
-        # has tau H of about 5000 against |s| = 2 sqrt(3)
+        # has tau H of about 5000 against |s| = 2 sqrt(3). No band sweep
+        # undoes row exchanges, so these sub-steps solve by zgbtrs.
+        solves = _record(monkeypatch, "zgbtrs")
         schedule = [QuadraticGenerator(*g)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=n_points)
         out = grid_evolve(schedule, grid, steps=2)
+        assert solves
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
     def test_factorizations_overwrite_the_per_call_buffer(self, monkeypatch):
-        # each entry's LU lands in the bands of the one per-call buffer; an
-        # f2py copy would allocate two fresh bands per entry
-        calls = []
-        real = oracle.zgbtrf
-
-        def recording_zgbtrf(ab, *args, **kwargs):
-            lu, piv, info = real(ab, *args, **kwargs)
-            calls.append((ab, lu))
-            return lu, piv, info
-
-        monkeypatch.setattr(oracle, "zgbtrf", recording_zgbtrf)
+        # each entry's LU lands in the bands of the one per-call buffer, and
+        # the lower sweep reads L there; an f2py copy, or L copied out, would
+        # allocate fresh bands per entry
+        factorizations = _record(monkeypatch, "zgbtrf")
+        sweeps = _record(monkeypatch, "ztbsv")
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=512)
         grid_evolve([QuadraticGenerator(0.8, 0.3, 1.2)] * 2, grid, steps=2)
-        assert len(calls) == 4
-        for ab, lu in calls:
+        assert len(factorizations) == 4
+        for (ab, *_), _, (lu, _, _) in factorizations:
             assert np.shares_memory(lu, ab)
-        for (first, _), (again, _) in zip(calls[:2], calls[2:]):
+        bands = [args[0] for args, _, _ in factorizations]
+        for first, again in zip(bands[:2], bands[2:]):
             assert np.shares_memory(first, again)
+        # 2 entries x 2 steps x 2 shifts, with no row exchanged
+        lowers = [a for (_, a, _), kwargs, _ in sweeps if kwargs.get("lower")]
+        assert len(lowers) == 8
+        for k, lower in enumerate(lowers):
+            # Fortran-ordered with leading dimension 7, so f2py passes it as is
+            assert lower.shape[0] == 7 and lower.flags.f_contiguous
+            assert np.shares_memory(lower, bands[k % 2])
 
     def test_hamiltonian_built_once_per_entry(self, monkeypatch):
         # both Pade shifts factor the same H, so each entry builds its bands once

@@ -189,6 +189,17 @@ class TestWavepacket:
         # second-order finite differences limit the oracle to ~1e-6 here
         assert psi.mean_momentum() == pytest.approx(mean_p, abs=1e-5)
 
+    @pytest.mark.parametrize("center_q, width", [(39.0, 1.0), (-39.0, 1.0), (3.769e-99, 1e-100)],
+                             ids=["amplitude-zero", "negative-center", "narrow-subnormal-factor"])
+    def test_amplitude_underflow_cannot_be_sampled(self, center_q, width):
+        # e^{-cq^2/2w^2} is 4.0e-298 at cq/w = 37 and 0 at 39, where amp *
+        # exp(...) would be 0 * inf at the center. At cq/w = 37.69 it is
+        # subnormal, and the narrow packet's (pi w^2)^(-1/4) of 1e50 lifts amp
+        # to 2.6e-259, but e^{cq^2/2w^2} at the center overflows.
+        assert abs(GaussianWavepacket(37.0 * width, 1.0, width).to_complex().amp) > 0.0
+        with pytest.raises(ValueError, match="^cannot sample .*amplitude underflows"):
+            GaussianWavepacket(center_q, 1.0, width).to_complex()
+
     def test_far_tail_is_zero_without_warnings(self):
         # x * x overflows at x = 1e200: exactly 0, and no warning (filterwarnings = error)
         psi = ComplexGaussian(-0.5 + 0j, 0j, 1 + 0j)

@@ -2,7 +2,11 @@
 
 Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
-inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
+inputs produce byte-identical output. ``evolve`` writes its CSV cells
+through the private module ``_csvtext``, which only it imports: numpy
+renders them, byte-identical to ``'%.12e' % x``. ``evolve`` builds the
+closed-form route before the grid route, so a schedule that reaches a
+focal point exits before any grid work. Exit codes: 0 ok, 1 verification
 failure, 2 parse error (or a grid too large to allocate), 3 focal point,
 4 boundary leak, 5 precision loss (an invariant guard, a non-finite value
 in JSON, in the decompose or kernel report or in evolve's l2_diff, or an
@@ -38,9 +42,6 @@ EXIT_FOCAL_POINT = 3
 EXIT_BOUNDARY_LEAK = 4
 EXIT_PRECISION = 5
 
-_CSV_BLOCK = 512
-
-
 def _fmt(x: float) -> str:
     return "%.12e" % x
 
@@ -50,20 +51,6 @@ def _fmt_value(v) -> str:
     if isinstance(v, complex):
         return f"{_fmt(v.real)} {_fmt(v.imag)}"
     return str(v) if isinstance(v, int) else _fmt(v)
-
-
-def _csv_blocks(*columns):
-    """CSV text of equal-length numeric arrays, ``_CSV_BLOCK`` rows per chunk.
-
-    One newline-ended line per index, cells as ``_fmt``. Python floats
-    format faster than numpy scalars; a block's cells, interleaved row by
-    row, go through one ``%`` with the block's whole format, which keeps
-    only that block's floats and text alive.
-    """
-    row = ",".join(["%.12e"] * len(columns)) + "\n"
-    for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns]).ravel().tolist()
-        yield row * (len(cells) // len(columns)) % tuple(cells)
 
 
 def _emit(args, chunks) -> None:
@@ -158,8 +145,9 @@ def cmd_evolve(args) -> int:
     packet = args.packet
 
     if schedule:
-        grid = grid_evolve(schedule, args.grid0, steps=args.steps)
+        # the closed-form route first: a focal schedule fails before any grid work
         state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
+        grid = grid_evolve(schedule, args.grid0, steps=args.steps)
         kernel_route = state.evaluate(grid.x)
     else:
         # Nothing to apply: both routes are the initial packet itself.
@@ -172,10 +160,12 @@ def cmd_evolve(args) -> int:
     # a non-finite amplitude on either route makes l2_diff non-finite
     _require_finite([("l2_diff", l2)])
 
+    from ._csvtext import csv_blocks  # loaded only where a CSV is written
+
     _emit(args, itertools.chain(
         ["x,re_kernel_route,im_kernel_route,re_grid_route,im_grid_route,abs_diff\n"],
-        _csv_blocks(grid.x, kernel_route.real, kernel_route.imag,
-                    grid_route.real, grid_route.imag, diff),
+        csv_blocks(grid.x, kernel_route.real, kernel_route.imag,
+                   grid_route.real, grid_route.imag, diff),
         [f"l2_diff,{_fmt(l2)}\n"],
     ))
     return EXIT_OK

@@ -19,7 +19,8 @@ Two deliberately dumb routes that know nothing about the closed forms:
   M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
   shift with LAPACK zgbtrf. Where that exchanged no rows, a sub-step
   solves with two BLAS ztbsv sweeps on zgbtrf's own factors, L and then
-  U; where it exchanged rows, with one zgbtrs solve. Two updates follow.
+  U, each over its two off-diagonals; where it exchanged rows, with one
+  zgbtrs solve. Two updates follow.
 """
 
 from __future__ import annotations
@@ -179,21 +180,26 @@ def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: comple
     return lu, (None if piv.sum() == n * (n - 1) // 2 else piv)
 
 
-def _cayley_solve(lu: np.ndarray, piv, lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cayley_solve(lu: np.ndarray, piv, lower: np.ndarray, upper: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
     """Overwrite ``b`` with M^-1 b for the factors ``(lu, piv)`` of ``_cayley_lu``.
 
     Without row exchanges (``piv`` None), M = L U is solved by two BLAS
     band sweeps on the factors where they lie: ``ztbsv`` over the unit
-    lower L, read from ``lower``, and then over U, read from ``lu`` as
-    ``zgbtrs`` reads it. ``lower`` is the same memory as ``lu`` from row 4
-    on, with leading dimension 7 (lower[k, j] = lu[4 + k, j]), so its rows
-    1 and 2 hold the multipliers. Reference ``zgbtrs`` applies L by one
-    rank-1 update per row, which costs more than the whole sweep; it still
-    solves where rows were exchanged, which no single sweep can undo.
+    lower L, read from ``lower``, and then over U, read from ``upper``.
+    Both are the memory of ``lu`` with leading dimension 7: ``lower`` from
+    row 4 on (lower[k, j] = lu[4 + k, j]), so its rows 1 and 2 hold the
+    multipliers, and ``upper`` from row 2 on (upper[k, j] = lu[2 + k, j]),
+    so its rows 0-2 hold U's two superdiagonals and its diagonal. U's
+    fill-in rows 0 and 1 of ``lu`` are zero when no rows were exchanged,
+    so the sweep over U reads 2 superdiagonals, not ``zgbtrs``'s 4.
+    Reference ``zgbtrs`` applies L by one rank-1 update per row, which
+    costs more than the whole sweep; it still solves where rows were
+    exchanged, which no single sweep can undo.
     """
     if piv is None:
         ztbsv(2, lower, b, lower=1, diag=1, overwrite_x=1)
-        return ztbsv(4, lu, b, overwrite_x=1)
+        return ztbsv(2, upper, b, overwrite_x=1)
     return zgbtrs(lu, 2, 2, b, piv, overwrite_b=1)[0]
 
 
@@ -241,7 +247,7 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     exchanged no rows, and one ``zgbtrs`` solve if it did (see
     ``_cayley_solve``). Both factorizations, the state and the work vector
     are allocated once per call, before anything else; the sweeps read L
-    in place.
+    and U in place.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
@@ -257,18 +263,19 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     # and the work vector: separate arrays left more heap resident
     buf = np.zeros(16 * n, dtype=complex)
     # shift k's 7 x n band storage is buf[7 n k:7 n (k + 1)], column by column;
-    # its L view starts 4 entries on, so shift 1's runs 4 entries into psi,
-    # in rows that the lower sweep never reads
+    # its L and U views start 4 and 2 entries on, so shift 1's run 4 and 2
+    # entries into psi, in rows that the sweeps never read
     bands = [buf[7 * n * k:7 * n * (k + 1)].reshape(n, 7).T for k in (0, 1)]
     lowers = [buf[7 * n * k + 4:7 * n * (k + 1) + 4].reshape(n, 7).T for k in (0, 1)]
+    uppers = [buf[7 * n * k + 2:7 * n * (k + 1) + 2].reshape(n, 7).T for k in (0, 1)]
     psi, work = buf[14 * n:].reshape(2, n)
     psi[:] = psi0.amplitudes
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
         H = _hamiltonian_bands(g, x, h)
-        factors = [(*_cayley_lu(*H, shift, tau, ab), lower)
-                   for shift, ab, lower in zip(_PADE_SHIFTS, bands, lowers)]
+        factors = [(*_cayley_lu(*H, shift, tau, ab), lower, upper)
+                   for shift, ab, lower, upper in zip(_PADE_SHIFTS, bands, lowers, uppers)]
         del H  # stepping needs only the factors; freed here, the bands add nothing to peak memory
         for _ in range(steps):
             for shift, factor in zip(_PADE_SHIFTS, factors):

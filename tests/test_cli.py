@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import quadprop
-from quadprop import cli
+from quadprop import _csvtext, cli, oracle
 
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
 
@@ -252,9 +252,38 @@ class TestEvolve:
         z = values + 1j * values[::-1]
         columns = (values, z.real, z.imag, values[::-1], -values, abs(z))
         per_cell = [",".join(cli._fmt(c[i]) for c in columns) + "\n" for i in range(values.size)]
-        blocks = list(cli._csv_blocks(*columns))
+        blocks = list(_csvtext.csv_blocks(*columns))
         assert len(blocks) == 3
         assert "".join(blocks) == "".join(per_cell)
+
+    def test_csv_equals_plain_format_of_its_arrays(self, tmp_path, monkeypatch):
+        columns = []
+        real = _csvtext.csv_blocks
+
+        def recording(*arrays):
+            columns.extend(np.array(a) for a in arrays)
+            return real(*arrays)
+
+        monkeypatch.setattr(_csvtext, "csv_blocks", recording)
+        sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+        out_path = tmp_path / "ref.csv"
+        assert cli.main(["evolve", sched, "--n-points", "1024", "--steps", "4",
+                         "-o", str(out_path)]) == 0
+        rows = out_path.read_text().splitlines()[1:-1]
+        assert len(columns) == 6 and len(rows) == 1024
+        assert rows == ["%.12e,%.12e,%.12e,%.12e,%.12e,%.12e" % cells
+                        for cells in zip(*(c.tolist() for c in columns))]
+
+    def test_focal_schedule_fails_before_grid_work(self, tmp_path, capsys, monkeypatch):
+        # two quarter periods of the oscillator reach its focal point; the
+        # closed-form route raises before grid_evolve runs
+        calls = []
+        monkeypatch.setattr(oracle, "grid_evolve", lambda *args, **kw: calls.append(args))
+        q = "1.5707963267948966"
+        sched = self._write(tmp_path, "focal.sched", f"{q} 0 {q}\n{q} 0 {q}\n")
+        code, out, err = _run(capsys, ["evolve", sched])
+        assert (code, out, calls) == (cli.EXIT_FOCAL_POINT, "", [])
+        assert "focal point" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         sched = self._write(tmp_path, "free.sched", "0.5 0.0 0.0\n")
@@ -421,11 +450,13 @@ def test_path_under_a_file_exit_code(tmp_path, capsys, argv):
     (["decompose", "1", "0", "1"], set()),
     (["kernel", "1", "0", "1", "0.3", "0.2", "--check"], set()),
     (["compose", "SCHEDULE"], set()),
-    (["evolve", "SCHEDULE", "--n-points", "512", "--steps", "2"], {"quadprop.oracle", "scipy"}),
+    (["evolve", "SCHEDULE", "--n-points", "512", "--steps", "2"],
+     {"quadprop.oracle", "quadprop._csvtext", "scipy"}),
 ], ids=["import", "decompose", "kernel-check", "compose", "evolve"])
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
     # Every process compiles what it imports (no bytecode is written here),
-    # so the oracles, the verify suites and scipy load only where they run.
+    # so the oracles, the CSV formatter, the verify suites and scipy load
+    # only where they run.
     schedule = tmp_path / "step.sched"
     schedule.write_text("0.5 0 0.5\n")
     if argv is None:
@@ -438,7 +469,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"), timeout=60, check=True)
     loaded = {m if m.startswith("quadprop") else m.split(".")[0] for m in proc.stdout.split()}
-    assert loaded & {"quadprop.oracle", "quadprop.verify", "scipy"} == heavy
+    assert loaded & {"quadprop.oracle", "quadprop._csvtext", "quadprop.verify", "scipy"} == heavy
     assert importlib.util.find_spec("quadprop._cayley") is None
 
 

@@ -249,8 +249,8 @@ class TestGridEvolve:
 
     def test_factorizations_overwrite_the_per_call_buffer(self, monkeypatch):
         # each entry's LU lands in the bands of the one per-call buffer, and
-        # the lower sweep reads L there; an f2py copy, or L copied out, would
-        # allocate fresh bands per entry
+        # the sweeps read L and U there; an f2py copy, or a factor copied
+        # out, would allocate fresh bands per entry
         factorizations = _record(monkeypatch, "zgbtrf")
         sweeps = _record(monkeypatch, "ztbsv")
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=512)
@@ -261,13 +261,17 @@ class TestGridEvolve:
         bands = [args[0] for args, _, _ in factorizations]
         for first, again in zip(bands[:2], bands[2:]):
             assert np.shares_memory(first, again)
-        # 2 entries x 2 steps x 2 shifts, with no row exchanged
-        lowers = [a for (_, a, _), kwargs, _ in sweeps if kwargs.get("lower")]
-        assert len(lowers) == 8
-        for k, lower in enumerate(lowers):
+        # 2 entries x 2 steps x 2 shifts, with no row exchanged; the upper
+        # sweep reads U's two superdiagonals, as the fill-in rows are zero
+        lowers = [(k, a) for (k, a, _), kwargs, _ in sweeps if kwargs.get("lower")]
+        uppers = [(k, a) for (k, a, _), kwargs, _ in sweeps if not kwargs.get("lower")]
+        assert len(lowers) == len(uppers) == 8
+        for j, ((k_lower, lower), (k_upper, upper)) in enumerate(zip(lowers, uppers)):
+            assert k_lower == k_upper == 2
             # Fortran-ordered with leading dimension 7, so f2py passes it as is
-            assert lower.shape[0] == 7 and lower.flags.f_contiguous
-            assert np.shares_memory(lower, bands[k % 2])
+            for view in (lower, upper):
+                assert view.shape[0] == 7 and view.flags.f_contiguous
+                assert np.shares_memory(view, bands[j % 2])
 
     def test_hamiltonian_built_once_per_entry(self, monkeypatch):
         # both Pade shifts factor the same H, so each entry builds its bands once

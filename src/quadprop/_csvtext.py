@@ -19,7 +19,10 @@ the vector arithmetic does not settle. For a finite x != 0:
    N >= 10^13 (the estimate of e was one off, or the digits carry into a
    14th) or where |f - 1/2| < 1e-9 (a near or exact tie, which ``%``
    rounds half to even). Checked so, exactness rests on no bound but the
-   one on f, which the margin exceeds 10^6 times.
+   one on f, which the margin exceeds 10^6 times. (A single product
+   fl(|x| hi) errs by up to 2e-3 and needs a band of about 5e-3, which
+   sends 1 % of the cells of an ``evolve`` CSV to ``'%.12e'``; one
+   4096-row CSV then took 2.07 ms rather than 1.87.)
 5. The sign, the digits and the exponent go into 4-byte words from lookup
    tables, 24 bytes per cell with NUL padding, which is then deleted.
 

@@ -2,11 +2,10 @@
 
 Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
-inputs produce byte-identical output. ``evolve`` writes its CSV cells
-through the private module ``_csvtext``, which only it imports: numpy
-renders them, byte-identical to ``'%.12e' % x``. ``evolve`` builds the
-closed-form route before the grid route, so a schedule that reaches a
-focal point exits before any grid work. Exit codes: 0 ok, 1 verification
+inputs produce byte-identical output. ``evolve`` builds the closed-form
+route before the grid route, so a schedule that reaches a focal point
+exits before any grid work, and where both routes fail the closed-form
+route's error is reported. Exit codes: 0 ok, 1 verification
 failure, 2 parse error (or a grid too large to allocate), 3 focal point,
 4 boundary leak, 5 precision loss (an invariant guard, a non-finite value
 in JSON, in the decompose or kernel report or in evolve's l2_diff, or an

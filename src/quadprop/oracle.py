@@ -17,10 +17,8 @@ Two deliberately dumb routes that know nothing about the closed forms:
   time error is O(tau^4), in product form: two shifted Cayley sub-steps
   psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi with
   M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
-  shift with LAPACK zgbtrf. Where that exchanged no rows, a sub-step
-  solves with two BLAS ztbsv sweeps on zgbtrf's own factors, L and then
-  U, each over its two off-diagonals; where it exchanged rows, with one
-  zgbtrs solve. Two updates follow.
+  shift by a banded LU (``_cayley_lu``), which every sub-step of the
+  entry then reuses.
 """
 
 from __future__ import annotations
@@ -152,18 +150,36 @@ _PADE_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
 
 
 def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: complex, tau: float,
-               ab: np.ndarray):
-    """Band LU of the shifted Cayley matrix M = shift + i tau H, in place.
+               store: np.ndarray):
+    """Factor the shifted Cayley matrix M = shift + i tau H in ``store``; return its solve.
 
-    H has the bands ``(diag, up1, up2)`` of ``_hamiltonian_bands``. M goes
-    into the 7 x n Fortran-ordered complex buffer ``ab`` in LAPACK band
-    storage, M[i, j] at ab[4 + i - j, j], and ``zgbtrf`` overwrites it with
-    the partially pivoted factors: U in rows 0-4, using rows 0 and 1 for
-    fill-in, and the multipliers L[j + k, j] at ab[4 + k, j] for k = 1, 2.
-    Returns the factors and the pivot indices, or None in place of the
-    pivots if no rows were exchanged; ``_cayley_solve`` takes the pair.
+    H has the bands ``(diag, up1, up2)`` of ``_hamiltonian_bands``, n
+    entries on the diagonal. ``store`` is this shift's own complex storage
+    of 7 n + 4 entries, which nothing else reads or writes. Its first 7 n
+    hold M as a 7 x n Fortran-ordered array in LAPACK band storage, M[i, j]
+    at ab[4 + i - j, j], and ``zgbtrf`` overwrites them with the partially
+    pivoted factors: U in rows 0-4, using rows 0 and 1 for fill-in, and
+    the multipliers L[j + k, j] at ab[4 + k, j] for k = 1, 2.
+
+    Returns a function that overwrites a vector b with M^-1 b. Where no
+    rows were exchanged, M = L U is solved by two BLAS band sweeps on the
+    factors where they lie, each through a leading-dimension-7 view of
+    ``store``: ``ztbsv`` over the unit lower L from 4 entries on
+    (lower[k, j] = ab[4 + k, j], rows 1 and 2 the multipliers), and then
+    over U from 2 entries on (upper[k, j] = ab[2 + k, j], rows 0-2 U's two
+    superdiagonals and its diagonal). The fill-in rows 0 and 1 are zero
+    then, so the U sweep reads 2 superdiagonals, not ``zgbtrs``'s 4. The
+    views' last columns run into the 4 trailing entries of ``store``, in
+    rows the sweeps never read. Where rows were exchanged, which no single
+    sweep can undo, it solves with ``zgbtrs``; ordinary entries do so at
+    small step counts (``grid_evolve`` of 1.0 -0.4 0.5 at 4096 points and
+    2 steps exchanges rows on both shifts). Reference ``zgbtrs`` applies L
+    by one rank-1 update per row, which costs more than the whole sweep.
+
     Raises LinAlgError if U has a zero or non-finite diagonal.
     """
+    n = diag.size
+    ab, lower, upper = (store[k:7 * n + k].reshape(n, 7).T for k in (0, 4, 2))
     c = 1j * tau
     ab[2, 2:] = c * up2
     ab[3, 1:] = c * up1
@@ -176,31 +192,14 @@ def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: comple
         raise np.linalg.LinAlgError("Crank-Nicolson matrix has a zero or non-finite pivot")
     # row j's pivot is one of rows j, j + 1 and j + 2 (0-based), so the
     # pivots are the identity exactly when they sum to 0 + 1 + ... + (n - 1)
-    n = piv.size
-    return lu, (None if piv.sum() == n * (n - 1) // 2 else piv)
+    if piv.sum() != n * (n - 1) // 2:
+        return lambda b: zgbtrs(lu, 2, 2, b, piv, overwrite_b=1)[0]
 
-
-def _cayley_solve(lu: np.ndarray, piv, lower: np.ndarray, upper: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Overwrite ``b`` with M^-1 b for the factors ``(lu, piv)`` of ``_cayley_lu``.
-
-    Without row exchanges (``piv`` None), M = L U is solved by two BLAS
-    band sweeps on the factors where they lie: ``ztbsv`` over the unit
-    lower L, read from ``lower``, and then over U, read from ``upper``.
-    Both are the memory of ``lu`` with leading dimension 7: ``lower`` from
-    row 4 on (lower[k, j] = lu[4 + k, j]), so its rows 1 and 2 hold the
-    multipliers, and ``upper`` from row 2 on (upper[k, j] = lu[2 + k, j]),
-    so its rows 0-2 hold U's two superdiagonals and its diagonal. U's
-    fill-in rows 0 and 1 of ``lu`` are zero when no rows were exchanged,
-    so the sweep over U reads 2 superdiagonals, not ``zgbtrs``'s 4.
-    Reference ``zgbtrs`` applies L by one rank-1 update per row, which
-    costs more than the whole sweep; it still solves where rows were
-    exchanged, which no single sweep can undo.
-    """
-    if piv is None:
+    def sweep(b: np.ndarray) -> np.ndarray:
         ztbsv(2, lower, b, lower=1, diag=1, overwrite_x=1)
         return ztbsv(2, upper, b, overwrite_x=1)
-    return zgbtrs(lu, 2, 2, b, piv, overwrite_b=1)[0]
+
+    return sweep
 
 
 def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
@@ -241,13 +240,11 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     up to sqrt(3). The spatial error is O(h^4), the time error O(tau^4).
 
     Each entry builds H once and factors M once per shift by LAPACK's
-    partially pivoted band LU (``zgbtrf``, see ``_cayley_lu``). A sub-step
-    then solves M y = psi and sets psi' = 2 s y - psi. The solve is two
-    BLAS ``ztbsv`` sweeps, over L and then over U, if the factorization
-    exchanged no rows, and one ``zgbtrs`` solve if it did (see
-    ``_cayley_solve``). Both factorizations, the state and the work vector
-    are allocated once per call, before anything else; the sweeps read L
-    and U in place.
+    partially pivoted band LU; ``_cayley_lu`` holds the band layout and
+    the solve. A sub-step then solves M y = psi and sets psi' = 2 s y - psi.
+    Each shift's band storage, the state and the work vector are allocated
+    once per call, before anything else, and the factors stay where they
+    were computed.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
@@ -259,31 +256,28 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n = psi0.n_points
-    # one allocation, made before any other, for both shifts' bands, the state
-    # and the work vector: separate arrays left more heap resident
-    buf = np.zeros(16 * n, dtype=complex)
-    # shift k's 7 x n band storage is buf[7 n k:7 n (k + 1)], column by column;
-    # its L and U views start 4 and 2 entries on, so shift 1's run 4 and 2
-    # entries into psi, in rows that the sweeps never read
-    bands = [buf[7 * n * k:7 * n * (k + 1)].reshape(n, 7).T for k in (0, 1)]
-    lowers = [buf[7 * n * k + 4:7 * n * (k + 1) + 4].reshape(n, 7).T for k in (0, 1)]
-    uppers = [buf[7 * n * k + 2:7 * n * (k + 1) + 2].reshape(n, 7).T for k in (0, 1)]
-    psi, work = buf[14 * n:].reshape(2, n)
+    # one allocation, made before any other, for each shift's band storage
+    # (7 n + 4 entries, see _cayley_lu), the state and the work vector:
+    # separate arrays left more heap resident
+    span = 7 * n + 4
+    buf = np.zeros(len(_PADE_SHIFTS) * span + 2 * n, dtype=complex)
+    stores = buf[:-2 * n].reshape(-1, span)
+    psi, work = buf[-2 * n:].reshape(2, n)
     psi[:] = psi0.amplitudes
     x, h = psi0.x, psi0.spacing
     tau = 1.0 / steps
     for g in g_schedule:
         H = _hamiltonian_bands(g, x, h)
-        factors = [(*_cayley_lu(*H, shift, tau, ab), lower, upper)
-                   for shift, ab, lower, upper in zip(_PADE_SHIFTS, bands, lowers, uppers)]
+        solves = [(shift, _cayley_lu(*H, shift, tau, store))
+                  for shift, store in zip(_PADE_SHIFTS, stores)]
         del H  # stepping needs only the factors; freed here, the bands add nothing to peak memory
         for _ in range(steps):
-            for shift, factor in zip(_PADE_SHIFTS, factors):
+            for shift, solve in solves:
                 # a sum that overflows is re-checked entry by entry
                 if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
                     raise ValueError("grid amplitudes must not contain infs or NaNs")
                 np.copyto(work, psi)
-                work = _cayley_solve(*factor, work)
+                work = solve(work)
                 work *= 2.0 * shift
                 work -= psi
                 psi, work = work, psi

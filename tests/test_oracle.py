@@ -247,6 +247,20 @@ class TestGridEvolve:
         assert solves
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
+    def test_both_solve_paths_in_one_call(self, monkeypatch):
+        # at 4 steps only shift 0 of the second and third entries exchanges
+        # rows, so one call solves by both paths over the same storage:
+        # 2 entries x 4 steps by zgbtrs, the other 16 sub-steps by two sweeps
+        solves = _record(monkeypatch, "zgbtrs")
+        sweeps = _record(monkeypatch, "ztbsv")
+        schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(3.0, 0.0, 0.0),
+                    QuadraticGenerator(1.0, -0.4, 0.5)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0))
+        out = grid_evolve(schedule, grid, steps=4)
+        assert (len(solves), len(sweeps)) == (8, 32)
+        # the gap reads 1.7e-13, under the bound of the pivoting cases above
+        assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 4)).max() <= 1e-12
+
     def test_factorizations_overwrite_the_per_call_buffer(self, monkeypatch):
         # each entry's LU lands in the bands of the one per-call buffer, and
         # the sweeps read L and U there; an f2py copy, or a factor copied
@@ -263,15 +277,19 @@ class TestGridEvolve:
             assert np.shares_memory(first, again)
         # 2 entries x 2 steps x 2 shifts, with no row exchanged; the upper
         # sweep reads U's two superdiagonals, as the fill-in rows are zero
-        lowers = [(k, a) for (k, a, _), kwargs, _ in sweeps if kwargs.get("lower")]
-        uppers = [(k, a) for (k, a, _), kwargs, _ in sweeps if not kwargs.get("lower")]
+        lowers = [args for args, kwargs, _ in sweeps if kwargs.get("lower")]
+        uppers = [args for args, kwargs, _ in sweeps if not kwargs.get("lower")]
         assert len(lowers) == len(uppers) == 8
-        for j, ((k_lower, lower), (k_upper, upper)) in enumerate(zip(lowers, uppers)):
+        for j, ((k_lower, lower, b), (k_upper, upper, _)) in enumerate(zip(lowers, uppers)):
             assert k_lower == k_upper == 2
-            # Fortran-ordered with leading dimension 7, so f2py passes it as is
+            # Fortran-ordered with leading dimension 7, so f2py passes it as
+            # is; each view lies in its own shift's storage, clear of the
+            # other shift's band and of the vector the sweeps overwrite
             for view in (lower, upper):
                 assert view.shape[0] == 7 and view.flags.f_contiguous
                 assert np.shares_memory(view, bands[j % 2])
+                assert not np.shares_memory(view, bands[1 - j % 2])
+                assert not np.shares_memory(view, b)
 
     def test_hamiltonian_built_once_per_entry(self, monkeypatch):
         # both Pade shifts factor the same H, so each entry builds its bands once

@@ -8,6 +8,12 @@ turns the kernel into a 4-real-dimensional Gaussian integral over
 reproduces the kernel of ``propagator.kernel_from_sr`` and serves as an
 independent second route for cross-validation.
 
+The pieces are ``overlap_position`` (<z|x>), ``sandwich`` (<z1|U|z2>)
+and ``gaussian_integral``. The matrix element's r/s, 1/s, r*/s and
+principal sqrt(s) come from ``_element`` alone, for ``sandwich`` and
+``kernel_via_iwop`` both. ``verify`` checks ``sandwich`` against the
+truncated-Fock unitary and ``kernel_via_iwop`` against ``kernel_from_sr``.
+
 The completeness measure implemented is the standard d^2z/pi; it is the
 one under which this route reproduces the position-space kernel (see
 the completeness quadrature check in the verify suite).
@@ -54,17 +60,27 @@ class CoherentLabel:
 def overlap_position(z: CoherentLabel, x):
     """Coherent-position overlap <z|x>.
 
-    <z|x> = pi^{-1/4} exp(-x^2/2 + sqrt(2) x z* - (z*)^2/2 - |z|^2/2);
-    x may be a scalar or an ndarray.
+    <z|x> = pi^{-1/4} exp(-x^2/2 + sqrt(2) x z* - (z*)^2/2 - |z|^2/2),
+    evaluated for z = a + ib as pi^{-1/4} exp(-(x - sqrt(2) a)^2/2
+    + i b (a - sqrt(2) x)), which cancels nothing and overflows only where
+    the phase b (a - sqrt(2) x) does; x may be a scalar or an ndarray.
     """
-    zc = z.z.conjugate()
-    const = -0.5 * zc * zc - 0.5 * abs(z.z) ** 2
+    a, b = z.z.real, z.z.imag
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    # far out x * x overflows and the exponential is exactly 0
+    # far out the square overflows and the exponential is exactly 0
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _PI_QUARTER * np.exp(-0.5 * x * x + np.sqrt(2.0) * x * zc + const)
+        d = x - _RT2 * a
+        out = _PI_QUARTER * np.exp(-0.5 * d * d + 1j * b * (a - _RT2 * x))
     return complex(out[0]) if scalar else out
+
+
+def _element(f: NormalOrderFactors) -> tuple:
+    """(r/s, 1/s, r*/s, sqrt(s)): the exponent coefficients and prefactor
+    root of <z1|U|z2>. sqrt(s) is the principal root, the route's one
+    branch choice, so a change of branch is made here alone.
+    """
+    return f.r / f.s, 1.0 / f.s, f.r.conjugate() / f.s, cmath.sqrt(f.s)
 
 
 def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> complex:
@@ -73,19 +89,21 @@ def sandwich(z1: CoherentLabel, z2: CoherentLabel, f: NormalOrderFactors) -> com
     (1/sqrt(s)) exp(-(r/2s) z1*^2 + z1* z2 / s + (r*/2s) z2^2
                     - |z1|^2/2 - |z2|^2/2)
 
-    with the principal branch of sqrt(s); s never vanishes (|s| >= 1).
+    with r/s, 1/s, r*/s and the principal sqrt(s) from ``_element``; s
+    never vanishes (|s| >= 1).
     """
     f.require_unitary()
+    ros, inv_s, rcs, root_s = _element(f)
     a = z1.z.conjugate()
     b = z2.z
     expo = (
-        -0.5 * (f.r / f.s) * a * a
-        + a * b / f.s
-        + 0.5 * (f.r.conjugate() / f.s) * b * b
+        -0.5 * ros * a * a
+        + a * b * inv_s
+        + 0.5 * rcs * b * b
         - 0.5 * abs(z1.z) ** 2
         - 0.5 * abs(z2.z) ** 2
     )
-    return cmath.exp(expo) / cmath.sqrt(f.s)
+    return cmath.exp(expo) / root_s
 
 
 def gaussian_integral(matrix: list, linear: list, constant=0.0) -> complex:
@@ -192,12 +210,23 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     ``kernel --check`` after ``abcd_from_generator(g)``. The form goes to
     the 4-dimensional ``gaussian_integral`` as nested lists it leaves as
     they are.
+
+    Where the form comes from, for z = x + iy:
+    - each overlap, <Q|z1> and <z2|q>, gives -x^2 -+ ixy to its label's
+      2x2 block, J = sqrt(2) (Q, iQ, q, -iq), the constant
+      -(q^2 + Q^2)/2 and pi^{-1/4};
+    - the matrix element, through ``_element``, gives each block its
+      |z|^2/2 (the identity) and its r/s or r*/s term, the coupling block
+      z1* z2 / s (the 1/s entries) and the prefactor 1/sqrt(s);
+    - the measure d^2z1 d^2z2 / pi^2 gives 1/pi^2.
+    The 16 entries are written out rather than integrated one label at a
+    time: their rounding decides which near-caustic forms meet 1e-10.
+    Unlike ``sandwich`` this does not call ``require_unitary``, whose
+    absolute 1e-8 would refuse hyperbolic (s, r) whose kernel is right.
     """
     f = normal_order(g)
     require_off_caustic(f.s.imag - f.r.imag)
-    ros = f.r / f.s
-    rcs = f.r.conjugate() / f.s
-    inv_s = 1.0 / f.s
+    ros, inv_s, rcs, root_s = _element(f)
     m01 = 1j * (1.0 - ros)
     m23 = -1j * (1.0 + rcs)
     m03 = -1j * inv_s
@@ -213,4 +242,4 @@ def kernel_via_iwop(g: QuadraticGenerator, q: float, Q: float) -> complex:
     integral = gaussian_integral(m, j, -0.5 * (q * q + Q * Q))
     # Measure and overlaps (_PI_M52), and 1/sqrt(s) from the coherent
     # matrix element.
-    return integral * _PI_M52 / cmath.sqrt(f.s)
+    return integral * _PI_M52 / root_s

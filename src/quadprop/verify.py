@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import coherent_iwop, lie_core, oracle, propagator, symplectic
+from . import coherent_iwop, oracle, propagator, symplectic
 from .lie_core import QuadraticGenerator, normal_order
 from .propagator import GaussianWavepacket, named_generator
 from .symplectic import abcd_from_generator, compose
@@ -224,18 +224,21 @@ def iwop_suite(rng) -> dict:
         res.append(abs(via - direct))
     checks["dual_route"] = _check(res, 1e-10)
 
-    # At s = 1, r = 0 the matrix element reduces to the bare coherent overlap.
-    ident = lie_core.NormalOrderFactors(s=1.0 + 0.0j, r=0.0 + 0.0j)
+    # <z1|U|z2> against the truncated-Fock unitary between coherent vectors
+    # c_n(z) = e^{-|z|^2/2} z^n / sqrt(n!), the identity among the generators.
+    # Their coefficients in [-0.5, 0.5] keep arg s far from pi, so the
+    # principal sqrt(s) is right here: this check does not witness the phase.
+    roots = np.sqrt(np.arange(1.0, oracle.FOCK_DIM))
     res = []
-    for _ in range(50):
-        z1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        z2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        got = coherent_iwop.sandwich(
-            coherent_iwop.CoherentLabel(z1), coherent_iwop.CoherentLabel(z2), ident
-        )
-        ref = np.exp(z2 * z1.conjugate() - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2)
-        res.append(abs(got - ref))
-    checks["identity_limit"] = _check(res, 1e-12)
+    for g in random_generators(rng, 20, scale=0.5) + [QuadraticGenerator(0.0, 0.0, 0.0)]:
+        u, f = oracle.fock_unitary_direct(g), normal_order(g)
+        for z1, z2 in rng.uniform(-2.0, 2.0, size=(10, 2, 2)) @ [1.0, 1.0j]:
+            c1, c2 = (np.exp(-0.5 * abs(z) ** 2) * np.cumprod(np.r_[1.0, z / roots])
+                      for z in (z1, z2))
+            got = coherent_iwop.sandwich(coherent_iwop.CoherentLabel(complex(z1)),
+                                         coherent_iwop.CoherentLabel(complex(z2)), f)
+            res.append(abs(got - c1.conj() @ u @ c2))
+    checks["sandwich_fock"] = _check(res, 1e-12)
 
     return _suite(checks)
 

@@ -28,6 +28,7 @@ VERIFY_BOUND = [
     (6, "factor route = matrix route", "propagator.dual_form", 1e-10),
     (6, "coherent route = factor route", "iwop.dual_route", 1e-10),
     (7, "truncated-Fock direct vs ordered product", "lie_core.fock_equivalence", 1e-6),
+    (7, "coherent matrix element vs truncated-Fock unitary", "iwop.sandwich_fock", 1e-12),
     (8, "matrix and classical map from W", "propagator.generating_roundtrip", 1e-10),
     (9, "kernel composition up to constant phase", "propagator.kernel_group", 1e-8),
     (10, "grid oracle vs kernel convolution", "oracle.end_to_end", 5e-7),

@@ -87,9 +87,16 @@ class TestOverlapPosition:
             CoherentLabel(complex(math.nan, 0.0))
 
     def test_far_tail_is_zero_without_warnings(self):
-        # x * x overflows at x = 1e200: exactly 0, and no warning (filterwarnings = error)
-        assert overlap_position(CoherentLabel(1 + 0j), 1e200) == 0j
-        assert overlap_position(CoherentLabel(1 + 0j), -1e200) == 0j
+        # the square overflows at x = 1e200: exactly 0, and no warning (filterwarnings = error)
+        for z in (1 + 0j, 1e155 + 0j, 1e155j):
+            assert overlap_position(CoherentLabel(z), 1e200) == 0j
+            assert overlap_position(CoherentLabel(z), -1e200) == 0j
+        # |z|^2 overflows for these labels, yet <z|x> peaks at pi^{-1/4}
+        # where x = sqrt(2) Re z
+        assert overlap_position(CoherentLabel(1e155 + 0j), 0.0) == 0j
+        peak = np.pi ** (-0.25)
+        assert overlap_position(CoherentLabel(1e155 + 0j), math.sqrt(2.0) * 1e155) == peak
+        assert overlap_position(CoherentLabel(1e155j), 0.0) == peak
 
 
 class TestSandwich:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from quadprop import cli, verify
+from quadprop import cli, coherent_iwop, verify
 
 # Unit tests leave these sweeps to verify, and the acceptance criteria read
 # their results, so a dropped or renamed check would silently remove coverage.
@@ -16,7 +16,7 @@ EXPECTED_CHECKS = {
     "symplectic": {"determinant", "matrix_exp_oracle", "sr_dictionary",
                    "dictionary_roundtrip", "composition_chain"},
     "propagator": {"dual_form", "generating_roundtrip", "kernel_group", "convolve_unitarity"},
-    "iwop": {"completeness", "dual_route", "identity_limit"},
+    "iwop": {"completeness", "dual_route", "sandwich_fock"},
     "oracle": {"fock_commutator", "norm_conservation", "end_to_end"},
 }
 
@@ -60,6 +60,24 @@ def test_fault_injection_trips_unitarity(monkeypatch):
     assert suite["pass"] is False
     assert suite["checks"]["unitarity"]["pass"] is False
     assert suite["checks"]["unitarity"]["residual"] > 1e-7
+
+
+def test_fault_in_the_matrix_element_trips_both_routes(monkeypatch):
+    # r/s and r*/s swapped in the one owner of <z1|U|z2>'s coefficients
+    # reaches both the sandwich and the kernel assembled from the same numbers
+    _small_sample(monkeypatch)
+    real = coherent_iwop._element
+
+    def swapped(f):
+        ros, inv_s, rcs, root_s = real(f)
+        return rcs, inv_s, ros, root_s
+
+    monkeypatch.setattr(coherent_iwop, "_element", swapped)
+    # the completeness quadrature reads only the overlaps, and costs 0.1 s
+    monkeypatch.setattr(verify, "_completeness_quadrature", lambda: 1.0)
+    suite = verify.iwop_suite(np.random.default_rng(verify.DEFAULT_SEED))
+    assert suite["checks"]["dual_route"]["pass"] is False
+    assert suite["checks"]["sandwich_fock"]["pass"] is False
 
 
 def test_nan_residual_fails_its_check(monkeypatch, capsys):

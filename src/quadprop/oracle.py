@@ -19,22 +19,62 @@ Two deliberately dumb routes that know nothing about the closed forms:
   M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
   shift by a banded LU (``_cayley_lu``), which every sub-step of the
   entry then reuses.
+
+The grid solver calls LAPACK ``zgbtrf``/``zgbtrs`` and BLAS ``ztbsv``
+through scipy's f2py wrappers. This module loads the two compiled
+modules that hold them, ``scipy.linalg._fblas`` and
+``scipy.linalg._flapack``, and not the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+# the package alone, without its subpackages: its __init__ is where a scipy
+# distribution initialises BLAS and LAPACK (and where Windows wheels add the
+# directory of their bundled OpenBLAS), which the wrappers below link to
+import scipy
 
 from .errors import BoundaryLeakError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .propagator import GaussianWavepacket
 from .symplectic import _expm
+
+
+def _scipy_linalg_wrappers(name: str):
+    """scipy.linalg's compiled f2py module ``name``, loaded without the scipy.linalg package.
+
+    ``import scipy.linalg`` runs the package's ``__init__``, which loads
+    about 300 further modules; the grid solver needs only three wrappers.
+    The module is found in the scipy package's directory and loaded alone
+    under its own name, as the import system would load it, so a later
+    ``import scipy.linalg`` reuses it and re-exports the same function
+    objects. Raises ImportError naming the directory searched if the
+    module is not there.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {directory}", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+ztbsv = _scipy_linalg_wrappers("_fblas").ztbsv
+zgbtrf = _scipy_linalg_wrappers("_flapack").zgbtrf
+zgbtrs = _scipy_linalg_wrappers("_flapack").zgbtrs
 
 __all__ = [
     "Grid",

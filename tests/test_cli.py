@@ -451,12 +451,14 @@ def test_path_under_a_file_exit_code(tmp_path, capsys, argv):
     (["kernel", "1", "0", "1", "0.3", "0.2", "--check"], set()),
     (["compose", "SCHEDULE"], set()),
     (["evolve", "SCHEDULE", "--n-points", "512", "--steps", "2"],
-     {"quadprop.oracle", "quadprop._csvtext", "scipy"}),
+     {"quadprop.oracle", "quadprop._csvtext", "scipy", "scipy.linalg._fblas",
+      "scipy.linalg._flapack"}),
 ], ids=["import", "decompose", "kernel-check", "compose", "evolve"])
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
     # Every process compiles what it imports (no bytecode is written here),
     # so the oracles, the CSV formatter, the verify suites and scipy load
-    # only where they run.
+    # only where they run. The grid oracle loads scipy.linalg's two compiled
+    # wrapper modules and no other module of scipy.linalg, the package included.
     schedule = tmp_path / "step.sched"
     schedule.write_text("0.5 0 0.5\n")
     if argv is None:
@@ -468,9 +470,41 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
     script += "print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"), timeout=60, check=True)
-    loaded = {m if m.startswith("quadprop") else m.split(".")[0] for m in proc.stdout.split()}
-    assert loaded & {"quadprop.oracle", "quadprop._csvtext", "quadprop.verify", "scipy"} == heavy
+    loaded = {m if m.startswith(("quadprop", "scipy.linalg")) else m.split(".")[0]
+              for m in proc.stdout.split()}
+    watched = {"quadprop.oracle", "quadprop._csvtext", "quadprop.verify", "scipy"}
+    assert {m for m in loaded if m in watched or m.startswith("scipy.linalg")} == heavy
     assert importlib.util.find_spec("quadprop._cayley") is None
+
+
+@pytest.mark.parametrize("first", ["evolve", "scipy.linalg"])
+def test_evolve_shares_its_wrappers_with_scipy_linalg(tmp_path, first):
+    # In either import order the grid oracle and scipy.linalg hold the same
+    # f2py wrapper objects, and scipy.linalg still solves after evolve ran.
+    schedule = tmp_path / "step.sched"
+    schedule.write_text("0.5 0 0.5\n")
+    argv = ["evolve", str(schedule), "--n-points", "512", "--steps", "2", "-o", os.devnull]
+    script = (
+        "import sys\n"
+        + ("import scipy.linalg\n" if first == "scipy.linalg" else "")
+        + "import quadprop.cli\n"
+        f"assert quadprop.cli.main({argv!r}) == 0\n"
+        f"assert ('scipy.linalg' in sys.modules) == {first == 'scipy.linalg'}\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from scipy.linalg import blas, lapack\n"
+        "from quadprop import oracle\n"
+        "assert lapack.zgbtrf is oracle.zgbtrf\n"
+        "assert lapack.zgbtrs is oracle.zgbtrs\n"
+        "assert blas.ztbsv is oracle.ztbsv\n"
+        "bands = np.array([[0, 1, 2j], [4, 5 + 1j, 6], [7, 8j, 0]])\n"
+        "dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)\n"
+        "x = scipy.linalg.solve_banded((1, 1), bands, np.ones(3))\n"
+        "assert np.allclose(dense @ x, np.ones(3), rtol=0, atol=1e-14)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_overflow_writes_one_error_line_and_no_warning():

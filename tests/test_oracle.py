@@ -99,6 +99,12 @@ def _banded_reference(schedule, grid, steps):
     return psi
 
 
+class TestScipyWrappers:
+    def test_missing_module_names_the_directory_searched(self):
+        with pytest.raises(ImportError, match=r"no compiled module _absent in .*linalg"):
+            oracle._scipy_linalg_wrappers("_absent")
+
+
 class TestFockTruncation:
     def test_ladder_matrix_elements(self):
         a = _ladder()[0]

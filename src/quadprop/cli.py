@@ -6,7 +6,8 @@ inputs produce byte-identical output. ``evolve`` builds the closed-form
 route before the grid route, so a schedule that reaches a focal point
 exits before any grid work, and where both routes fail the closed-form
 route's error is reported. Exit codes: 0 ok, 1 verification
-failure, 2 parse error (or a grid too large to allocate), 3 focal point,
+failure, 2 parse error (or a grid too large to allocate, or a schedule
+that plans more than MAX_GRID_STEPS grid steps), 3 focal point,
 4 boundary leak, 5 precision loss (an invariant guard, a non-finite value
 in JSON, in the decompose or kernel report or in evolve's l2_diff, or an
 overflowing intermediate).
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import sys
 
 import numpy as np
 
-from .errors import BoundaryLeakError, FocalPointError
+from .errors import MAX_GRID_STEPS, BoundaryLeakError, FocalPointError, GridWorkLimitError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .propagator import GaussianWavepacket, convolve, kernel_from_abcd
 from .symplectic import (
@@ -191,7 +193,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["pass"] else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="quadprop",
         description="Gaussian propagators of quadratic Hamiltonians",
@@ -228,8 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=-40.0)
     p.add_argument("--x-max", type=float, default=40.0)
     p.add_argument("--n-points", type=int, default=4096)
-    p.add_argument("--steps", type=int, default=25,
-                   help="fourth-order Pade steps per schedule entry, two shifted Cayley solves each")
+    p.add_argument("--steps", type=int, default=4,
+                   help="eighth-order Pade steps per unit of generator norm: an entry "
+                        "(alpha, beta, gamma) takes ceil(steps * |(alpha, beta, gamma)|) "
+                        "steps, at least one, of four shifted Cayley solves each; "
+                        f"at most {MAX_GRID_STEPS} steps per schedule")
     add_output(p)
 
     p = sub.add_parser("compose", help="compose a schedule into one ABCD matrix")
@@ -292,7 +299,7 @@ def main(argv=None) -> int:
         # an overflow is reported once, by the guard or the finiteness check it trips
         with np.errstate(over="ignore", invalid="ignore"):
             return _DISPATCH[args.command](args)
-    except (ScheduleError, OSError, MemoryError) as exc:
+    except (ScheduleError, GridWorkLimitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FocalPointError as exc:

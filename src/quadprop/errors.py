@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["FocalPointError", "NonConvergentError", "BoundaryLeakError"]
+__all__ = ["FocalPointError", "NonConvergentError", "BoundaryLeakError", "GridWorkLimitError"]
 
 # The caustic guard takes |B| below this as B = 0, where a kernel is a
 # delta function.
@@ -25,3 +25,13 @@ class NonConvergentError(ValueError):
 class BoundaryLeakError(RuntimeError):
     """Raised when grid evolution pushes significant amplitude into the
     edge of the simulation box."""
+
+
+# The most Pade steps (four banded solves each) that one grid evolution may
+# plan over all its schedule entries.
+MAX_GRID_STEPS = 10_000
+
+
+class GridWorkLimitError(ValueError):
+    """Raised, before any grid work, when a schedule plans more than
+    ``MAX_GRID_STEPS`` grid steps."""

@@ -13,12 +13,14 @@ Two deliberately dumb routes that know nothing about the closed forms:
   wavepacket convolution end to end. H is the pentadiagonal, exactly
   Hermitian fourth-order central-difference discretization, so the
   spatial error is O(h^4). A step of length tau applies the diagonal
-  Pade (2,2) approximant of exp(-i tau H), which is unitary and whose
-  time error is O(tau^4), in product form: two shifted Cayley sub-steps
+  Pade (4,4) approximant of exp(-i tau H), whose time error is
+  O(tau^8), in product form: four shifted Cayley sub-steps
   psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi with
-  M = s + i tau H, for s = 3 -+ i sqrt(3). Each entry factors M once per
-  shift by a banded LU (``_cayley_lu``), which every sub-step of the
-  entry then reuses.
+  M = s + i tau H, one for each of two conjugate pairs of shifts s. Each
+  pair's product is unitary. An entry gets a number of steps in
+  proportion to the norm of its generator, and factors M by a banded LU
+  (``_cayley_lu``) once per shift, which every sub-step of the entry
+  with that shift then reuses.
 
 The grid solver calls LAPACK ``zgbtrf``/``zgbtrs`` and BLAS ``ztbsv``
 through scipy's f2py wrappers. This module loads the two compiled
@@ -42,7 +44,7 @@ import numpy as np
 # directory of their bundled OpenBLAS), which the wrappers below link to
 import scipy
 
-from .errors import BoundaryLeakError
+from .errors import MAX_GRID_STEPS, BoundaryLeakError, GridWorkLimitError
 from .lie_core import QuadraticGenerator, normal_order, to_su11
 from .propagator import GaussianWavepacket
 from .symplectic import _expm
@@ -78,6 +80,7 @@ zgbtrs = _scipy_linalg_wrappers("_flapack").zgbtrs
 
 __all__ = [
     "Grid",
+    "MAX_GRID_STEPS",
     "fock_unitary_direct",
     "fock_unitary_ordered",
     "grid_evolve",
@@ -183,10 +186,17 @@ class Grid:
 
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6
-# exp(z) ~ (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12), the diagonal Pade (2,2)
-# approximant, is the product of (s + z) / (s - z) over s = 3 -+ i sqrt(3)
-# (W. van Dijk and F. M. Toyama, Phys. Rev. E 75 (2007) 036707).
-_PADE_SHIFTS = (3.0 - 1j * math.sqrt(3.0), 3.0 + 1j * math.sqrt(3.0))
+# exp(z) ~ P(z) / P(-z) with P(z) = 1 + z/2 + 3 z^2/28 + z^3/84 + z^4/1680,
+# the diagonal Pade (4,4) approximant, is the product of (s + z) / (s - z)
+# over the four s that are minus the roots of P (W. van Dijk and F. M.
+# Toyama, Phys. Rev. E 75 (2007) 036707). They are two conjugate pairs, and
+# for real y each pair's product has modulus 1 at z = iy. All four factors
+# commute, so ``grid_evolve`` applies one pair through a whole entry and
+# then the other.
+_PADE_SHIFTS = (
+    (5.7924212056407445 - 1.7344682578690076j, 5.7924212056407445 + 1.7344682578690076j),
+    (4.2075787943592555 - 5.314836083713505j, 4.2075787943592555 + 5.314836083713505j),
+)
 
 
 def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: complex, tau: float,
@@ -213,7 +223,8 @@ def _cayley_lu(diag: np.ndarray, up1: np.ndarray, up2: np.ndarray, shift: comple
     rows the sweeps never read. Where rows were exchanged, which no single
     sweep can undo, it solves with ``zgbtrs``; ordinary entries do so at
     small step counts (``grid_evolve`` of 1.0 -0.4 0.5 at 4096 points and
-    2 steps exchanges rows on both shifts). Reference ``zgbtrs`` applies L
+    1 step per unit of generator norm, 2 steps, exchanges rows on both
+    shifts with a negative imaginary part). Reference ``zgbtrs`` applies L
     by one rank-1 update per row, which costs more than the whole sweep.
 
     Raises LinAlgError if U has a zero or non-finite diagonal.
@@ -268,64 +279,78 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
 
 
 def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
-    """Fourth-order Crank-Nicolson evolution of a grid state through a schedule.
+    """Eighth-order Crank-Nicolson evolution of a grid state through a schedule.
 
-    Each schedule entry is one unit of flow parameter split into ``steps``
-    steps of tau = 1/steps. A step applies the diagonal Pade (2,2)
-    approximant of exp(-i tau H) as two shifted Cayley sub-steps
+    Each schedule entry g is one unit of flow parameter, split into
+    n = max(1, ceil(steps * |g|)) steps of tau = 1/n, where |g| is the
+    Euclidean norm of (alpha, beta, gamma): ``steps`` counts steps per unit
+    of generator norm. A step applies the diagonal Pade (4,4) approximant
+    of exp(-i tau H) as four shifted Cayley sub-steps
     psi' = (s - i tau H) M^-1 psi = 2 s M^-1 psi - psi, M = s + i tau H,
-    for s = 3 - i sqrt(3) and then s = 3 + i sqrt(3). The pair is exactly
-    unitary for the Hermitian discretization used, so the norm is
-    conserved to solver accuracy; one sub-step alone can scale a mode by
-    up to sqrt(3). The spatial error is O(h^4), the time error O(tau^4).
+    one per shift of ``_PADE_SHIFTS``. The factors commute, so an entry
+    runs its n steps with the first conjugate pair of shifts and then its n
+    steps with the second. Each pair is exactly unitary for the Hermitian
+    discretization used, so the norm is conserved to solver accuracy; one
+    sub-step alone can scale a mode by up to about 2.7. The spatial error
+    is O(h^4), the time error O(tau^8).
 
-    Each entry builds H once and factors M once per shift by LAPACK's
-    partially pivoted band LU; ``_cayley_lu`` holds the band layout and
-    the solve. A sub-step then solves M y = psi and sets psi' = 2 s y - psi.
-    Each shift's band storage, the state and the work vector are allocated
-    once per call, before anything else, and the factors stay where they
-    were computed.
+    Each entry builds H once and, for each pair, factors M once per shift
+    by LAPACK's partially pivoted band LU; ``_cayley_lu`` holds the band
+    layout and the solve. A sub-step then solves M y = 2 s psi and sets
+    psi' = y - psi. Two band stores, one per shift of a pair, the
+    state and the work vector are allocated once per call, after the
+    schedule's steps are planned and before anything else, and the factors
+    stay where they were computed.
 
     Every sub-step checks the state for infs and NaNs and its two edge
     amplitudes.
 
     Raises ValueError on non-finite amplitudes or coefficients,
-    LinAlgError if a pivot is zero or non-finite, and BoundaryLeakError
-    if edge amplitude exceeds 1e-6.
+    GridWorkLimitError if the schedule plans more than ``MAX_GRID_STEPS``
+    steps, LinAlgError if a pivot is zero or non-finite, and
+    BoundaryLeakError if edge amplitude exceeds 1e-6.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    # min() keeps an infinite steps * |g| out of ceil, and the sum still
+    # passes the limit then
+    plan = [(g, max(1, math.ceil(min(steps * math.hypot(g.alpha, g.beta, g.gamma),
+                                     MAX_GRID_STEPS + 1))))
+            for g in g_schedule]
+    if sum(n_e for _, n_e in plan) > MAX_GRID_STEPS:
+        raise GridWorkLimitError(
+            f"the schedule plans more than {MAX_GRID_STEPS} Pade steps at {steps} steps "
+            "per unit of generator norm"
+        )
     n = psi0.n_points
-    # one allocation, made before any other, for each shift's band storage
-    # (7 n + 4 entries, see _cayley_lu), the state and the work vector:
-    # separate arrays left more heap resident
+    # one allocation, made before any other array, for the band storage of
+    # each shift of a pair (7 n + 4 entries, see _cayley_lu), the state and
+    # the work vector: separate arrays left more heap resident
     span = 7 * n + 4
-    buf = np.zeros(len(_PADE_SHIFTS) * span + 2 * n, dtype=complex)
-    stores = buf[:-2 * n].reshape(-1, span)
+    buf = np.zeros(2 * span + 2 * n, dtype=complex)
+    stores = buf[:-2 * n].reshape(2, span)
     psi, work = buf[-2 * n:].reshape(2, n)
     psi[:] = psi0.amplitudes
     x, h = psi0.x, psi0.spacing
-    tau = 1.0 / steps
-    for g in g_schedule:
+    for g, n_e in plan:
         H = _hamiltonian_bands(g, x, h)
-        solves = [(shift, _cayley_lu(*H, shift, tau, store))
-                  for shift, store in zip(_PADE_SHIFTS, stores)]
-        del H  # stepping needs only the factors; freed here, the bands add nothing to peak memory
-        for _ in range(steps):
-            for shift, solve in solves:
-                # a sum that overflows is re-checked entry by entry
-                if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
-                    raise ValueError("grid amplitudes must not contain infs or NaNs")
-                np.copyto(work, psi)
-                work = solve(work)
-                work *= 2.0 * shift
-                work -= psi
-                psi, work = work, psi
-                edge = max(abs(psi[0]), abs(psi[-1]))
-                if edge > _EDGE_AMPLITUDE_LIMIT:
-                    raise BoundaryLeakError(
-                        f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
-                        "widen the grid"
-                    )
+        for pair in _PADE_SHIFTS:
+            solves = [(shift, _cayley_lu(*H, shift, 1.0 / n_e, store))
+                      for shift, store in zip(pair, stores)]
+            for _ in range(n_e):
+                for shift, solve in solves:
+                    # a sum that overflows is re-checked entry by entry
+                    if not (cmath.isfinite(psi.sum()) or np.isfinite(psi).all()):
+                        raise ValueError("grid amplitudes must not contain infs or NaNs")
+                    np.multiply(psi, 2.0 * shift, out=work)
+                    work = solve(work)
+                    work -= psi
+                    psi, work = work, psi
+                    edge = max(abs(psi[0]), abs(psi[-1]))
+                    if edge > _EDGE_AMPLITUDE_LIMIT:
+                        raise BoundaryLeakError(
+                            f"edge amplitude {edge:.3e} exceeds {_EDGE_AMPLITUDE_LIMIT:.0e}; "
+                            "widen the grid"
+                        )
     # a copy, so that the buffer is freed on return
     return replace(psi0, amplitudes=psi.copy())

@@ -1,0 +1,65 @@
+"""Accuracy sweep of the grid oracle over the evolve benchmark's schedules.
+
+Builds the 80 schedules and packets of the ``evolve`` benchmark workload
+(``perfbench/workloads.py`` ``Evolve``, seeds 1-10, read only) and runs
+each through ``quadprop.oracle.grid_evolve`` on the CLI's default grid and
+``--steps``. Compares the result with the closed-form route that
+``quadprop evolve`` prints beside it, convolution of the composed kernel
+with the packet. Past a focal point that kernel has the wrong sign
+(ROADMAP item 1): the closed form is taken times (-1)^n, n the schedule's
+focal crossings as the workload counts them. Prints the median and the
+largest L2 error; exits 1 if any error exceeds ``BOUND`` or is not finite.
+
+    PYTHONPATH=src python tests/sweep_grid_accuracy.py
+
+About 1.5 s on one core.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+from workloads import Evolve  # noqa: E402
+
+from quadprop import cli  # noqa: E402
+from quadprop.oracle import grid_evolve  # noqa: E402
+from quadprop.propagator import convolve, kernel_from_abcd  # noqa: E402
+from quadprop.symplectic import compose_schedule, load_schedule  # noqa: E402
+
+SEEDS = range(1, 11)
+BOUND = 1e-6  # largest L2 error allowed on any schedule
+
+
+def main() -> int:
+    errors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            workload = Evolve(seed, tmp)
+            for op, (argv, crossings) in enumerate(zip(workload.argv, workload.crossings)):
+                # the CLI's own parsing builds the packet and the default grid
+                args = cli.build_parser().parse_args(argv)
+                cli._prepare(args)
+                schedule = load_schedule(args.schedule)
+                state = convolve(kernel_from_abcd(compose_schedule(schedule)), args.packet)
+                grid = grid_evolve(schedule, args.grid0, steps=args.steps)
+                diff = grid.amplitudes - (-1) ** crossings * state.evaluate(grid.x)
+                l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * grid.spacing)
+                errors.append((l2, seed, op, crossings))
+    values = np.array([e[0] for e in errors])
+    bad = [e for e in errors if not e[0] <= BOUND]
+    print(f"{values.size} schedules: median {np.median(values):.3e}, "
+          f"max {values.max():.3e}, {len(bad)} above {BOUND:.0e}")
+    for l2, seed, op, crossings in bad[:10]:
+        print(f"  seed {seed} op {op} ({crossings} focal crossings): {l2:.3e}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

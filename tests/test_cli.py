@@ -15,6 +15,7 @@ import pytest
 
 import quadprop
 from quadprop import _csvtext, cli, oracle
+from quadprop.errors import MAX_GRID_STEPS
 
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
 
@@ -302,15 +303,27 @@ class TestEvolve:
         footer = out_path.read_text().strip().splitlines()[-1]
         assert float(footer.split(",")[1]) < 5e-3
 
-    def test_default_steps_reach_3e_7_on_the_reference_schedule(self, tmp_path):
-        # the default 25 fourth-order steps per entry on the 4096-point grid
-        # read 2.6e-7
+    def test_default_steps_reach_2e_8_on_the_reference_schedule(self, tmp_path):
+        # the default 4 eighth-order steps per unit of generator norm (6 per
+        # entry) on the 4096-point grid read 1.28e-8, the grid's spatial error
         sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
         out_path = tmp_path / "ref.csv"
         assert cli.main(["evolve", sched, "--center-q", "0.3", "--center-p", "0.2",
                          "-o", str(out_path)]) == 0
         footer = out_path.read_text().strip().splitlines()[-1]
-        assert float(footer.split(",")[1]) <= 3e-7
+        assert float(footer.split(",")[1]) <= 2e-8
+
+    def test_planned_work_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a 1-rad rotation that the closed form handles, but its norm of 1e4
+        # plans 4e4 grid steps at the default 4 per unit: refused before any
+        # grid work, as a request too large to run
+        bands = []
+        monkeypatch.setattr(oracle, "_hamiltonian_bands", lambda *args: bands.append(args))
+        sched = self._write(tmp_path, "big.sched", "1e-4 0 1e4\n")
+        code, out, err = _run(capsys, ["evolve", sched])
+        assert (code, out, bands) == (cli.EXIT_PARSE, "", [])
+        assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
+                       "at 4 steps per unit of generator norm\n")
 
 
 class TestCompose:
@@ -550,6 +563,22 @@ def test_dispatch_and_traced_names_resolve():
         module = importlib.import_module(f"quadprop.{info.name}" if info else "quadprop")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_parser_is_built_once_on_first_call():
+    # importing the CLI builds no parser; the first main() builds it and
+    # later calls, of any command, reuse it
+    script = (
+        "import os, quadprop.cli as cli\n"
+        "assert cli.build_parser.cache_info().currsize == 0\n"
+        "for argv in (['decompose', '1', '0', '1'], ['kernel', '1', '0', '1', '0.3', '0.2']):\n"
+        "    assert cli.main([*argv, '-o', os.devnull]) == 0\n"
+        "info = cli.build_parser.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 1), info\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_arguments_is_usage_error():

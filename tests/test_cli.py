@@ -19,7 +19,8 @@ from quadprop.errors import MAX_GRID_STEPS
 
 FREE_KERNEL_0_TO_1 = 0.38280491754448324 - 0.11231802257721920j
 
-# The exact reports of `decompose -1.5 0.25 0.75` and of compose on COMPOSE_SCHEDULE.
+# The exact reports of `decompose -1.5 0.25 0.75`, of `kernel -1.5 0.25 0.75 0.3 -0.7
+# --check` and of compose on COMPOSE_SCHEDULE.
 DECOMPOSE_TEXT = """\
 tau                 = 2.500000000000e-01 -1.125000000000e+00
 sigma               = 7.500000000000e-01
@@ -42,6 +43,13 @@ DECOMPOSE_JSON = {
     "residual_symplectic": -2.220446049250313e-16,
     "residual_unitarity": -4.440892098500626e-16,
 }
+KERNEL_ARGV = ["kernel", "-1.5", "0.25", "0.75", "0.3", "-0.7", "--check"]
+KERNEL_TEXT = """\
+2.680914099838e-01 1.257587061770e-01
+check_diff = 6.206335383118e-17
+"""
+KERNEL_JSON = {"check_diff": 6.206335383118183e-17, "im": 0.12575870617700652,
+               "re": 0.2680914099838406}
 COMPOSE_SCHEDULE = "0.5 0.1 0.3\n-0.2 0.4 1.1\n"
 COMPOSE_TEXT = """\
 steps               = 2
@@ -161,6 +169,9 @@ class TestKernel:
         assert code == 0
         payload = json.loads(out)
         assert payload["check_diff"] < 1e-10
+
+    def test_byte_identical_reruns(self, capsys):
+        _assert_pinned(capsys, KERNEL_ARGV, KERNEL_TEXT, KERNEL_JSON)
 
 
 class TestEvolve:

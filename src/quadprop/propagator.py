@@ -54,7 +54,7 @@ _PHASE_B_NEGATIVE = cmath.exp(1j * (np.pi / 4.0))
 
 @dataclass(frozen=True)
 class GaussianKernel:
-    """Gaussian position-space kernel K(Q, q).
+    """Gaussian position-space kernel K(Q, q), evaluated at one point (q, Q).
 
     ``K(Q, q) = prefactor * exp(coef_qQ*q*Q + coef_qq*q^2 + coef_QQ*Q^2)``
     with q the initial and Q the final coordinate. For kernels built
@@ -68,44 +68,21 @@ class GaussianKernel:
     coef_qq: complex
     coef_QQ: complex
 
-    def evaluate(self, q, Q):
-        """Evaluate K(Q, q); q and Q may be scalars or broadcastable arrays.
+    def evaluate(self, q: float, Q: float) -> complex:
+        """K(Q, q) at one real pair, in Python ``complex`` arithmetic.
 
-        Two paths run the same IEEE operations in the same order, so any
-        partitioning of a point batch gives bitwise-identical values:
-
-        * two Python ``float``/``int`` scalars are evaluated in Python
-          ``complex`` with ``cmath.exp``, without numpy's per-call cost;
-        * anything else goes through numpy arrays, a 0-d input returning
-          a ``complex``.
-
-        The exponent multiplies complex coefficients by real points, where
-        every rounding is a single product. The final prefactor * exp(...)
-        is written as real products, (pr er - pi ei) + i (pr ei + pi er),
-        because numpy's SIMD complex multiply may fuse them (an FMA rounds
-        once where Python rounds twice) and would then differ from Python
-        in the last bit. A scalar exponent that is not finite, or whose
-        real part is 708 or more (where ``cmath.exp`` raises, or scales
-        differently from the C library's complex exp), falls back to the
-        array path, where overflow gives inf/NaN without a RuntimeWarning.
+        q and Q are anything ``float`` accepts: ``float``, ``int``, a numpy
+        real scalar or a 0-d array. An array of several points raises
+        TypeError. Where ``cmath.exp`` cannot take the exponent (its real
+        part overflows exp, or its imaginary part is infinite) the value
+        is NaN, without an exception or a warning.
         """
-        if isinstance(q, (float, int)) and isinstance(Q, (float, int)):
-            q, Q = float(q), float(Q)
-            expo = self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q
-            if expo.real < 708.0 and cmath.isfinite(expo):
-                e = cmath.exp(expo)
-                pr, pi = self.prefactor.real, self.prefactor.imag
-                return complex(pr * e.real - pi * e.imag, pr * e.imag + pi * e.real)
-        scalar = np.ndim(q) == 0 and np.ndim(Q) == 0
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        Q = np.atleast_1d(np.asarray(Q, dtype=float))
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q)
-            pr, pi = self.prefactor.real, self.prefactor.imag
-            out = np.empty(e.shape, dtype=complex)
-            out.real = pr * e.real - pi * e.imag
-            out.imag = pr * e.imag + pi * e.real
-        return complex(out[0]) if scalar else out
+        q, Q = float(q), float(Q)
+        expo = self.coef_qQ * q * Q + self.coef_qq * q * q + self.coef_QQ * Q * Q
+        try:
+            return self.prefactor * cmath.exp(expo)
+        except (OverflowError, ValueError):
+            return complex(math.nan, math.nan)
 
 
 @dataclass(frozen=True)

@@ -312,11 +312,18 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    # min() keeps an infinite steps * |g| out of ceil, and the sum still
-    # passes the limit then
-    plan = [(g, max(1, math.ceil(min(steps * math.hypot(g.alpha, g.beta, g.gamma),
-                                     MAX_GRID_STEPS + 1))))
-            for g in g_schedule]
+    # an int beyond the float range counts as infinitely many steps per
+    # unit, which a zero entry (inf * 0 is NaN) does not use; min() keeps an
+    # infinite product out of ceil, and the sum still passes the limit then
+    try:
+        per_unit = float(steps)
+    except OverflowError:
+        per_unit = math.inf
+    plan = []
+    for g in g_schedule:
+        norm = math.hypot(g.alpha, g.beta, g.gamma)
+        n_e = math.ceil(min(per_unit * norm, MAX_GRID_STEPS + 1)) if norm else 1
+        plan.append((g, max(1, n_e)))
     if sum(n_e for _, n_e in plan) > MAX_GRID_STEPS:
         raise GridWorkLimitError(
             f"the schedule plans more than {MAX_GRID_STEPS} Pade steps at {steps} steps "

@@ -337,6 +337,16 @@ class TestEvolve:
                        "at 4 steps per unit of generator norm\n")
 
 
+    def test_steps_beyond_the_float_range_exit_code(self, tmp_path, capsys):
+        # 10^400 steps per unit is refused as too much work (exit 2), not
+        # reported as a precision loss (exit 5) of converting it to a float
+        sched = self._write(tmp_path, "two.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+        code, out, err = _run(capsys, ["evolve", sched, "--steps", str(10**400)])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
+                       f"at {10**400} steps per unit of generator norm\n")
+
+
 class TestCompose:
     def test_two_quarter_rotations(self, tmp_path, capsys):
         q = repr(math.pi / 4)

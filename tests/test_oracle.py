@@ -412,6 +412,22 @@ class TestGridEvolve:
             with pytest.raises(GridWorkLimitError, match="more than 12 Pade steps"):
                 grid_evolve(schedule, grid, steps=4)
 
+    def test_steps_beyond_the_float_range(self, monkeypatch):
+        # 10^400 steps per unit is never converted to a float: a nonzero
+        # entry, however small, plans more than the limit, and a zero entry
+        # still takes one step, as at one step per unit
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
+        zero = QuadraticGenerator(0.0, 0.0, 0.0)
+        for beta in (5e-324, 1.0):
+            with pytest.raises(GridWorkLimitError, match=f"more than {MAX_GRID_STEPS} Pade steps"):
+                grid_evolve([zero, QuadraticGenerator(0.0, beta, 0.0)], grid, steps=10**400)
+        sweeps = _record(monkeypatch, "ztbsv")
+        one = grid_evolve([zero] * 2, grid, steps=1)
+        assert len(sweeps) == 16
+        huge = grid_evolve([zero] * 2, grid, steps=10**400)
+        assert len(sweeps) == 32
+        assert np.array_equal(huge.amplitudes, one.amplitudes)
+
     def test_error_falls_as_h_to_the_fourth(self):
         # 20 steps per unit of generator norm (27 per entry) keep the time
         # error far below the spatial error at 2048 points; h^4 predicts 16x

@@ -316,7 +316,7 @@ def test_one_point_evaluation():
     pinned, ints = [], 0
     for k in (k_abcd, k_sr, k_comp, k_grow):
         for qi, Qi in zip(q, Q):
-            got = [k.evaluate(convert(qi), convert(Qi)) for convert in (float, np.float64, np.array)]
+            got = [k.evaluate(cast(qi), cast(Qi)) for cast in (float, np.float64, np.array)]
             if qi.is_integer() and Qi.is_integer() and abs(qi) < 1e10 and abs(Qi) < 1e10:
                 got.append(k.evaluate(int(qi), int(Qi)))
                 ints += 1

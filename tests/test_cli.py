@@ -336,7 +336,6 @@ class TestEvolve:
         assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
                        "at 4 steps per unit of generator norm\n")
 
-
     def test_steps_beyond_the_float_range_exit_code(self, tmp_path, capsys):
         # 10^400 steps per unit is refused as too much work (exit 2), not
         # reported as a precision loss (exit 5) of converting it to a float

@@ -413,9 +413,9 @@ class TestGridEvolve:
                 grid_evolve(schedule, grid, steps=4)
 
     def test_steps_beyond_the_float_range(self, monkeypatch):
-        # 10^400 steps per unit is never converted to a float: a nonzero
-        # entry, however small, plans more than the limit, and a zero entry
-        # still takes one step, as at one step per unit
+        # 10^400 steps per unit, beyond the float range: a nonzero entry,
+        # however small, plans more than the limit, and a zero entry still
+        # takes one step, as at one step per unit
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
         zero = QuadraticGenerator(0.0, 0.0, 0.0)
         for beta in (5e-324, 1.0):

@@ -143,21 +143,15 @@ def cmd_evolve(args) -> int:
     from .oracle import grid_evolve
 
     schedule = load_schedule(args.schedule)
-    packet = args.packet
-
+    # with nothing to apply, both routes are the initial packet itself
+    state, grid = args.packet, args.grid0
     if schedule:
         # the closed-form route first: a focal schedule fails before any grid work
-        state = convolve(kernel_from_abcd(compose_schedule(schedule)), packet)
-        grid = grid_evolve(schedule, args.grid0, steps=args.steps)
-        kernel_route = state.evaluate(grid.x)
-    else:
-        # Nothing to apply: both routes are the initial packet itself.
-        grid = args.grid0
-        kernel_route = packet.evaluate(grid.x)
-
-    grid_route = grid.amplitudes
+        state = convolve(kernel_from_abcd(compose_schedule(schedule)), state)
+        grid = grid_evolve(schedule, grid, steps=args.steps)
+    kernel_route, grid_route = state.evaluate(grid.x), grid.amplitudes
     diff = abs(kernel_route - grid_route)
-    l2 = float((diff**2).sum() ** 0.5 * grid.spacing**0.5)
+    l2 = grid.distance(kernel_route)
     # a non-finite amplitude on either route makes l2_diff non-finite
     _require_finite([("l2_diff", l2)])
 

@@ -63,16 +63,14 @@ def overlap_position(z: CoherentLabel, x):
     <z|x> = pi^{-1/4} exp(-x^2/2 + sqrt(2) x z* - (z*)^2/2 - |z|^2/2),
     evaluated for z = a + ib as pi^{-1/4} exp(-(x - sqrt(2) a)^2/2
     + i b (a - sqrt(2) x)), which cancels nothing and overflows only where
-    the phase b (a - sqrt(2) x) does; x may be a scalar or an ndarray.
+    the phase b (a - sqrt(2) x) does, at each point of the real array-like x.
     """
     a, b = z.z.real, z.z.imag
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     # far out the square overflows and the exponential is exactly 0
     with np.errstate(over="ignore", invalid="ignore"):
         d = x - _RT2 * a
-        out = _PI_QUARTER * np.exp(-0.5 * d * d + 1j * b * (a - _RT2 * x))
-    return complex(out[0]) if scalar else out
+        return _PI_QUARTER * np.exp(-0.5 * d * d + 1j * b * (a - _RT2 * x))
 
 
 def _element(f: NormalOrderFactors) -> tuple:

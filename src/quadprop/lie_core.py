@@ -100,8 +100,11 @@ class NormalOrderFactors:
     r: complex
 
     def unitarity_residual(self) -> float:
-        """|s|^2 - |r|^2 - 1, which is zero for factors of a unitary."""
-        return abs(self.s) ** 2 - abs(self.r) ** 2 - 1.0
+        """|s|^2 - |r|^2 - 1, zero for factors of a unitary; NaN where a square overflows."""
+        try:
+            return abs(self.s) ** 2 - abs(self.r) ** 2 - 1.0
+        except OverflowError:
+            return math.nan
 
     def require_unitary(self) -> None:
         """Raise ValueError unless ||s|^2 - |r|^2 - 1| <= INVARIANT_TOL (NaN fails)."""

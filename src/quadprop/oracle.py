@@ -134,17 +134,17 @@ def fock_unitary_ordered(g: QuadraticGenerator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform position grid carrying complex amplitudes.
+    """Uniform position grid carrying one-dimensional complex amplitudes.
 
-    n_points must be a power of two >= 512.
+    n_points, their size, must be a power of two >= 512.
     """
 
     x_min: float
     x_max: float
-    n_points: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         n = self.n_points
         if n < 512 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 512, got {n}")
@@ -155,10 +155,12 @@ class Grid:
         h = self.spacing
         if not (math.isfinite(h) and h * h > 0.0 and math.isfinite(1.0 / (h * h))):
             raise ValueError(f"grid spacing {h!r} must be finite with a finite 1/spacing^2")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (n,):
-            raise ValueError(f"amplitudes have shape {amp.shape}, expected ({n},)")
-        object.__setattr__(self, "amplitudes", amp)
+        if self.amplitudes.shape != (n,):
+            raise ValueError(f"amplitudes have shape {self.amplitudes.shape}, expected ({n},)")
+
+    @property
+    def n_points(self) -> int:
+        return self.amplitudes.size
 
     @property
     def x(self) -> np.ndarray:
@@ -169,20 +171,18 @@ class Grid:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     @classmethod
-    def from_wavepacket(
-        cls,
-        psi: GaussianWavepacket,
-        x_min: float = -40.0,
-        x_max: float = 40.0,
-        n_points: int = 4096,
-    ) -> "Grid":
+    def from_wavepacket(cls, psi: GaussianWavepacket, x_min: float = -40.0, x_max: float = 40.0,
+                        n_points: int = 4096) -> "Grid":
         # validate the axis before sampling the packet on it
-        grid = cls(x_min, x_max, n_points, np.zeros(n_points, dtype=complex))
+        grid = cls(x_min, x_max, np.zeros(n_points, dtype=complex))
         return replace(grid, amplitudes=psi.evaluate(grid.x))
 
+    def distance(self, values) -> float:
+        """The L2 distance sqrt(h sum |amplitudes - values|^2) that evolve and verify report."""
+        return math.sqrt(float(np.sum(np.abs(self.amplitudes - values) ** 2)) * self.spacing)
+
     def norm(self) -> float:
-        h = self.spacing
-        return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) * h)
+        return self.distance(0.0)
 
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6

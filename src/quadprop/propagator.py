@@ -173,12 +173,12 @@ class ComplexGaussian:
             raise ValueError(f"Re(quad) must be negative, got {self.quad.real!r}")
 
     def evaluate(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # far out x * x overflows and the exponential is exactly 0
+        """The amplitude at the real points x, any array-like (0-d gives a numpy scalar)."""
+        x = np.asarray(x, dtype=float)
+        # far out x * x overflows and the exponential is exactly 0; np.multiply, not *,
+        # so that a 0-d x rounds as an array does (a numpy complex scalar's * differs)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.amp * np.exp(self.quad * x * x + self.lin * x)
-        return complex(out[0]) if scalar else out
+            return np.multiply(self.amp, np.exp(self.quad * x * x + self.lin * x))
 
     def norm(self) -> float:
         """L2 norm, exactly: |amp| sqrt(sqrt(pi/u) e^{v^2/u}) with u = -2 Re quad, v = Re lin."""

@@ -17,7 +17,6 @@ About 1.5 s on one core.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import tempfile
@@ -49,8 +48,7 @@ def main() -> int:
                 schedule = load_schedule(args.schedule)
                 state = convolve(kernel_from_abcd(compose_schedule(schedule)), args.packet)
                 grid = grid_evolve(schedule, args.grid0, steps=args.steps)
-                diff = grid.amplitudes - (-1) ** crossings * state.evaluate(grid.x)
-                l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * grid.spacing)
+                l2 = grid.distance((-1) ** crossings * state.evaluate(grid.x))
                 errors.append((l2, seed, op, crossings))
     values = np.array([e[0] for e in errors])
     bad = [e for e in errors if not e[0] <= BOUND]

@@ -70,6 +70,13 @@ COMPOSE_JSON = {
 }
 
 
+def _schedule(tmp_path, body) -> str:
+    """Write a step-schedule file in the test's directory; return its path."""
+    path = tmp_path / "step.sched"
+    path.write_text(body)
+    return str(path)
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -175,13 +182,8 @@ class TestKernel:
 
 
 class TestEvolve:
-    def _write(self, tmp_path, name, body):
-        path = tmp_path / name
-        path.write_text(body)
-        return str(path)
-
     def test_free_schedule_csv(self, tmp_path, capsys):
-        sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
+        sched = _schedule(tmp_path, "1.0 0.0 0.0\n")
         out_path = tmp_path / "out.csv"
         code = cli.main(["evolve", sched, "-o", str(out_path)])
         assert code == 0
@@ -193,7 +195,7 @@ class TestEvolve:
         assert float(footer[1]) < 1e-3
 
     def test_empty_schedule_echoes_input(self, tmp_path, capsys):
-        sched = self._write(tmp_path, "empty.sched", "# nothing\n\n")
+        sched = _schedule(tmp_path, "# nothing\n\n")
         code, out, _ = _run(capsys, ["evolve", sched])
         assert code == 0
         lines = out.strip().splitlines()
@@ -203,13 +205,13 @@ class TestEvolve:
 
     def test_caustic_schedule_exit_code(self, tmp_path, capsys):
         pi = repr(math.pi)
-        sched = self._write(tmp_path, "osc.sched", f"{pi} 0 {pi}\n")
+        sched = _schedule(tmp_path, f"{pi} 0 {pi}\n")
         code, _, err = _run(capsys, ["evolve", sched])
         assert code == 3
         assert "focal point" in err
 
     def test_boundary_leak_exit_code(self, tmp_path, capsys):
-        sched = self._write(tmp_path, "fast.sched", "1.0 0.0 0.0\n")
+        sched = _schedule(tmp_path, "1.0 0.0 0.0\n")
         code, _, err = _run(capsys, [
             "evolve", sched, "--center-p", "3.0",
             "--x-min", "-5", "--x-max", "5", "--n-points", "512",
@@ -218,7 +220,7 @@ class TestEvolve:
         assert "boundary leak" in err
 
     def test_bad_schedule_exit_code(self, tmp_path, capsys):
-        sched = self._write(tmp_path, "bad.sched", "1.0 2.0\n")
+        sched = _schedule(tmp_path, "1.0 2.0\n")
         code, _, err = _run(capsys, ["evolve", sched])
         assert code == 2
         assert "error" in err
@@ -251,7 +253,7 @@ class TestEvolve:
             "spacing-squared-underflows", "interval-width-overflows", "grid-exceeds-memory",
             "amplitude-underflows", "narrow-amplitude-factor-subnormal"])
     def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
-        sched = self._write(tmp_path, "free.sched", "1.0 0.0 0.0\n")
+        sched = _schedule(tmp_path, "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
         assert code == 2
         assert err.startswith("error: ")
@@ -268,20 +270,14 @@ class TestEvolve:
         assert len(blocks) == 3
         assert "".join(blocks) == "".join(per_cell)
 
-    def test_csv_equals_plain_format_of_its_arrays(self, tmp_path, monkeypatch):
-        columns = []
-        real = _csvtext.csv_blocks
-
-        def recording(*arrays):
-            columns.extend(np.array(a) for a in arrays)
-            return real(*arrays)
-
-        monkeypatch.setattr(_csvtext, "csv_blocks", recording)
-        sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+    def test_csv_equals_plain_format_of_its_arrays(self, tmp_path, record):
+        calls = record(_csvtext, "csv_blocks")
+        sched = _schedule(tmp_path, "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
         out_path = tmp_path / "ref.csv"
         assert cli.main(["evolve", sched, "--n-points", "1024", "--steps", "4",
                          "-o", str(out_path)]) == 0
         rows = out_path.read_text().splitlines()[1:-1]
+        [(columns, _, _)] = calls
         assert len(columns) == 6 and len(rows) == 1024
         assert rows == ["%.12e,%.12e,%.12e,%.12e,%.12e,%.12e" % cells
                         for cells in zip(*(c.tolist() for c in columns))]
@@ -292,13 +288,13 @@ class TestEvolve:
         calls = []
         monkeypatch.setattr(oracle, "grid_evolve", lambda *args, **kw: calls.append(args))
         q = "1.5707963267948966"
-        sched = self._write(tmp_path, "focal.sched", f"{q} 0 {q}\n{q} 0 {q}\n")
+        sched = _schedule(tmp_path, f"{q} 0 {q}\n{q} 0 {q}\n")
         code, out, err = _run(capsys, ["evolve", sched])
         assert (code, out, calls) == (cli.EXIT_FOCAL_POINT, "", [])
         assert "focal point" in err
 
     def test_byte_identical_reruns(self, tmp_path):
-        sched = self._write(tmp_path, "free.sched", "0.5 0.0 0.0\n")
+        sched = _schedule(tmp_path, "0.5 0.0 0.0\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["evolve", sched, "--steps", "40", "-o", str(a)]) == 0
         assert cli.main(["evolve", sched, "--steps", "40", "-o", str(b)]) == 0
@@ -307,7 +303,7 @@ class TestEvolve:
     def test_grid_route_tracks_kernel_route(self, tmp_path):
         # harmonic drive split into two quarter-period entries
         q = repr(math.pi / 4)
-        sched = self._write(tmp_path, "osc2.sched", f"{q} 0 {q}\n{q} 0 {q}\n")
+        sched = _schedule(tmp_path, f"{q} 0 {q}\n{q} 0 {q}\n")
         out_path = tmp_path / "osc.csv"
         assert cli.main(["evolve", sched, "--center-q", "1.0", "--center-p", "0.0",
                          "-o", str(out_path)]) == 0
@@ -317,7 +313,7 @@ class TestEvolve:
     def test_default_steps_reach_2e_8_on_the_reference_schedule(self, tmp_path):
         # the default 4 eighth-order steps per unit of generator norm (6 per
         # entry) on the 4096-point grid read 1.28e-8, the grid's spatial error
-        sched = self._write(tmp_path, "ref.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+        sched = _schedule(tmp_path, "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
         out_path = tmp_path / "ref.csv"
         assert cli.main(["evolve", sched, "--center-q", "0.3", "--center-p", "0.2",
                          "-o", str(out_path)]) == 0
@@ -330,7 +326,7 @@ class TestEvolve:
         # grid work, as a request too large to run
         bands = []
         monkeypatch.setattr(oracle, "_hamiltonian_bands", lambda *args: bands.append(args))
-        sched = self._write(tmp_path, "big.sched", "1e-4 0 1e4\n")
+        sched = _schedule(tmp_path, "1e-4 0 1e4\n")
         code, out, err = _run(capsys, ["evolve", sched])
         assert (code, out, bands) == (cli.EXIT_PARSE, "", [])
         assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
@@ -339,7 +335,7 @@ class TestEvolve:
     def test_steps_beyond_the_float_range_exit_code(self, tmp_path, capsys):
         # 10^400 steps per unit is refused as too much work (exit 2), not
         # reported as a precision loss (exit 5) of converting it to a float
-        sched = self._write(tmp_path, "two.sched", "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
+        sched = _schedule(tmp_path, "1.0 0.05 0.9\n0.8 -0.03 1.1\n")
         code, out, err = _run(capsys, ["evolve", sched, "--steps", str(10**400)])
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
@@ -349,9 +345,7 @@ class TestEvolve:
 class TestCompose:
     def test_two_quarter_rotations(self, tmp_path, capsys):
         q = repr(math.pi / 4)
-        path = tmp_path / "osc.sched"
-        path.write_text(f"{q} 0 {q}\n{q} 0 {q}\n")
-        code, out, _ = _run(capsys, ["compose", str(path)])
+        code, out, _ = _run(capsys, ["compose", _schedule(tmp_path, f"{q} 0 {q}\n{q} 0 {q}\n")])
         assert code == 0
         vals = _parse_report(out)
         assert vals["A"][0] == pytest.approx(0.0, abs=1e-12)
@@ -359,14 +353,11 @@ class TestCompose:
         assert vals["steps"][0] == 2
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
-        path = tmp_path / "two.sched"
-        path.write_text(COMPOSE_SCHEDULE)
-        _assert_pinned(capsys, ["compose", str(path)], COMPOSE_TEXT, COMPOSE_JSON)
+        _assert_pinned(capsys, ["compose", _schedule(tmp_path, COMPOSE_SCHEDULE)],
+                       COMPOSE_TEXT, COMPOSE_JSON)
 
     def test_empty_schedule_is_identity(self, tmp_path, capsys):
-        path = tmp_path / "empty.sched"
-        path.write_text("")
-        code, out, _ = _run(capsys, ["compose", str(path), "--json"])
+        code, out, _ = _run(capsys, ["compose", _schedule(tmp_path, ""), "--json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["abcd"] == {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}
@@ -387,18 +378,15 @@ class TestVerifyCommand:
         assert cli.main(["verify", "-o", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["pass"] is True
 
-    def test_exit_one_when_a_suite_fails(self, monkeypatch, capsys):
-        fake = {"pass": False, "suites": {"lie_core": {"pass": False}}}
-        monkeypatch.setattr("quadprop.verify.run_all", lambda: fake)
-        code, out, _ = _run(capsys, ["verify"])
-        assert code == 1
-
 
 @pytest.mark.parametrize("argv, schedule", [
     (["kernel", "0", "20", "0", "0", "1"], None),
     (["compose"], "0 20 0\n"),
     (["decompose", "0", "1000", "0", "--json"], None),
     (["decompose", "0", "1000", "0"], None),
+    # |s| = cosh(400) is finite, but |s|^2 overflows: residual_unitarity is NaN
+    (["decompose", "0", "400", "0", "--json"], None),
+    (["decompose", "0", "400", "0"], None),
     (["kernel", "1", "0", "0", "1e200", "1", "--check"], None),
     (["kernel", "1", "0", "0", "1e200", "1", "--check", "--json"], None),
     # overflow: A = inf and B = 0 give det-1 = NaN, not a focal point
@@ -428,7 +416,8 @@ class TestVerifyCommand:
     (["evolve", "--center-q", "1e-7", "--width", "1e-8", "--x-min=-1e300", "--x-max", "1e300",
       "--n-points", "512"], ""),
 ], ids=["kernel-not-symplectic", "compose-drift", "decompose-json-infinity",
-        "decompose-text-infinity", "kernel-text-nan", "kernel-json-nan",
+        "decompose-text-infinity", "decompose-json-square-overflow",
+        "decompose-text-square-overflow", "kernel-text-nan", "kernel-json-nan",
         "kernel-nan-residual", "kernel-json-nan-residual", "compose-nan-residual",
         "evolve-convolve-overflow", "decompose-not-unitary", "evolve-band-overflow",
         "evolve-band-nan", "evolve-compose-overflow-beta-1e300",
@@ -437,9 +426,7 @@ class TestVerifyCommand:
         "evolve-empty-schedule-nan"])
 def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     if schedule is not None:
-        path = tmp_path / "drift.sched"
-        path.write_text(schedule)
-        argv = [*argv, str(path)]
+        argv = [*argv, _schedule(tmp_path, schedule)]
     code, out, err = _run(capsys, argv)
     assert code == cli.EXIT_PRECISION == 5
     assert out == ""
@@ -450,7 +437,8 @@ def test_precision_loss_exit_code(tmp_path, capsys, argv, schedule):
     (["kernel", "1", "0", "0", "1e200", "1", "--check", "--json"], "kernel, check_diff"),
     (["decompose", "0", "1000", "0", "--json"],
      "s, r, A, residual_unitarity, residual_symplectic"),
-], ids=["kernel", "decompose"])
+    (["decompose", "0", "400", "0", "--json"], "residual_unitarity"),
+], ids=["kernel", "decompose", "decompose-square-overflow"])
 def test_json_mode_names_the_non_finite_fields(capsys, argv, fields):
     # the error line of text mode, not the JSON encoder's message
     code, out, err = _run(capsys, argv)
@@ -492,12 +480,11 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
     # so the oracles, the CSV formatter, the verify suites and scipy load
     # only where they run. The grid oracle loads scipy.linalg's two compiled
     # wrapper modules and no other module of scipy.linalg, the package included.
-    schedule = tmp_path / "step.sched"
-    schedule.write_text("0.5 0 0.5\n")
+    schedule = _schedule(tmp_path, "0.5 0 0.5\n")
     if argv is None:
         script = "import sys, quadprop\n"
     else:
-        argv = [str(schedule) if a == "SCHEDULE" else a for a in argv]
+        argv = [schedule if a == "SCHEDULE" else a for a in argv]
         script = ("import sys, quadprop.cli\n"
                   f"assert quadprop.cli.main({[*argv, '-o', os.devnull]!r}) == 0\n")
     script += "print(*sys.modules)"
@@ -514,9 +501,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, heavy):
 def test_evolve_shares_its_wrappers_with_scipy_linalg(tmp_path, first):
     # In either import order the grid oracle and scipy.linalg hold the same
     # f2py wrapper objects, and scipy.linalg still solves after evolve ran.
-    schedule = tmp_path / "step.sched"
-    schedule.write_text("0.5 0 0.5\n")
-    argv = ["evolve", str(schedule), "--n-points", "512", "--steps", "2", "-o", os.devnull]
+    schedule = _schedule(tmp_path, "0.5 0 0.5\n")
+    argv = ["evolve", schedule, "--n-points", "512", "--steps", "2", "-o", os.devnull]
     script = (
         "import sys\n"
         + ("import scipy.linalg\n" if first == "scipy.linalg" else "")
@@ -556,9 +542,7 @@ def test_overflow_writes_one_error_line_and_no_warning():
 def test_compose_names_the_step_that_lost_digits(tmp_path, capsys):
     # abcd_from_generator(0, 20, 0) already has det-1 = 2.5e-3 (hyperbolic
     # cancellation at delta_sq = 400) before any product is taken.
-    path = tmp_path / "bad_step.sched"
-    path.write_text("0 1 1\n0 20 0\n1 0 1\n")
-    code, out, err = _run(capsys, ["compose", str(path)])
+    code, out, err = _run(capsys, ["compose", _schedule(tmp_path, "0 1 1\n0 20 0\n1 0 1\n")])
     assert code == cli.EXIT_PRECISION
     assert out == ""
     assert err == "error: matrix is not symplectic: det-1 = 2.532e-03 (schedule step 2)\n"

@@ -98,6 +98,14 @@ class TestOverlapPosition:
         assert overlap_position(CoherentLabel(1e155 + 0j), math.sqrt(2.0) * 1e155) == peak
         assert overlap_position(CoherentLabel(1e155j), 0.0) == peak
 
+    def test_a_point_gives_the_bits_of_a_one_element_array(self):
+        # a float, a numpy scalar and a 0-d array take the array's arithmetic
+        for x in [*np.random.default_rng(0).normal(0.0, 3.0, 20).tolist(), 1e200, -1e200]:
+            for z in (CoherentLabel(0.3 - 1.2j), CoherentLabel(1e155j)):
+                ref = overlap_position(z, np.array([x]))[0]
+                for point in (x, np.float64(x), np.array(x)):
+                    assert overlap_position(z, point).tobytes() == ref.tobytes()
+
 
 class TestSandwich:
     def test_identity_diagonal_element(self):

@@ -57,19 +57,6 @@ def mismatches(values: np.ndarray) -> list:
     return [(v, g, "%.12e" % v) for v, g in zip(values.tolist(), got) if g != "%.12e" % v]
 
 
-def _exact_calls(monkeypatch) -> list:
-    """Record each value that falls back to '%.12e'."""
-    calls = []
-    real = _csvtext._exact
-
-    def recording(x):
-        calls.append(x)
-        return real(x)
-
-    monkeypatch.setattr(_csvtext, "_exact", recording)
-    return calls
-
-
 def test_boundary_neighbourhoods():
     values = boundary_values(16, digits=("1", "9.9999999999995"))
     assert values.size > 80000
@@ -94,22 +81,22 @@ def test_subnormals_zeros_and_large_values():
     assert mismatches(np.concatenate([values, -values])) == []
 
 
-def test_exact_ties_fall_back_and_round_half_to_even(monkeypatch):
+def test_exact_ties_fall_back_and_round_half_to_even(record):
     # (N + 1/2) 10^(e - 12) is a double for e = 12 to 15; '%' rounds it half
     # to even, which the vector arithmetic leaves to the fallback
-    calls = _exact_calls(monkeypatch)
+    calls = record(_csvtext, "_exact")
     ties = np.array([1000000000000.5, 1000000000001.5, 99999999999995.0, 2500000000000500.0])
     text = "".join(_csvtext.csv_blocks(np.concatenate([ties, -ties])))
     assert text.splitlines() == ["1.000000000000e+12", "1.000000000002e+12",
                                  "1.000000000000e+14", "2.500000000000e+15",
                                  "-1.000000000000e+12", "-1.000000000002e+12",
                                  "-1.000000000000e+14", "-2.500000000000e+15"]
-    assert calls == [*ties.tolist(), *(-ties).tolist()]
+    assert [args[0] for args, _, _ in calls] == [*ties.tolist(), *(-ties).tolist()]
 
 
-def test_ordinary_values_take_no_fallback(monkeypatch):
+def test_ordinary_values_take_no_fallback(record):
     # the vector arithmetic settles all but near ties and missed exponents
-    calls = _exact_calls(monkeypatch)
+    calls = record(_csvtext, "_exact")
     rng = np.random.default_rng(5)
     values = np.concatenate([[0.0, -0.0, 5e-324], rng.normal(size=5000),
                              10.0 ** rng.uniform(-320, 300, size=5000)])

@@ -81,25 +81,6 @@ def _banded_substeps(schedule, grid, steps):
                     yield psi
 
 
-def _record(monkeypatch, name):
-    """Wrap ``oracle.<name>`` so that each call appends (args, kwargs, result)."""
-    calls = []
-    real = getattr(oracle, name)
-
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((args, kwargs, out))
-        return out
-
-    monkeypatch.setattr(oracle, name, recording)
-    return calls
-
-
-def _l2(out, state):
-    diff = out.amplitudes - state.evaluate(out.x)
-    return np.sqrt(np.sum(np.abs(diff) ** 2) * out.spacing)
-
-
 def _two_entry_case():
     """A two-entry schedule, its packet and the closed-form evolved state."""
     schedule = [QuadraticGenerator(1.0, 0.05, 0.9), QuadraticGenerator(0.8, -0.03, 1.1)]
@@ -174,10 +155,11 @@ class TestFockUnitaries:
 
 class TestGrid:
     def test_validates_point_count(self):
-        with pytest.raises(ValueError):
-            Grid(-10.0, 10.0, 500, np.zeros(500, dtype=complex))
-        with pytest.raises(ValueError):
-            Grid(-10.0, 10.0, 1000, np.zeros(1000, dtype=complex))
+        # the point count is the size of the amplitudes, which must be one-dimensional
+        assert Grid(-10.0, 10.0, np.zeros(512)).n_points == 512
+        for amplitudes in (np.zeros(500), np.zeros(1000), np.zeros((2, 512))):
+            with pytest.raises(ValueError, match="^(n_points must be|amplitudes have shape)"):
+                Grid(-10.0, 10.0, amplitudes)
 
     def test_sampled_packet_is_normalized(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))
@@ -202,7 +184,7 @@ class TestGridEvolve:
         # agrees with the closed-form convolution route
         state = convolve(kernel_from_abcd(abcd_from_generator(g)),
                          GaussianWavepacket(1.0, 0.0, 1.0))
-        assert _l2(out, state) < 1e-3
+        assert out.distance(state.evaluate(out.x)) < 1e-3
 
     def test_boundary_leak_detected(self):
         narrow = Grid.from_wavepacket(
@@ -244,12 +226,12 @@ class TestGridEvolve:
         with pytest.raises(BoundaryLeakError, match=f"^edge amplitude {edge:.3e} exceeds"):
             grid_evolve(schedule, grid, steps=steps)
 
-    def test_matches_banded_solve_per_substep(self, monkeypatch):
+    def test_matches_banded_solve_per_substep(self, record):
         # no factorization of either entry exchanges rows, so every sub-step
         # solves by the two band sweeps and none by zgbtrs; 14 steps per unit
         # of generator norm are 21 and 17 steps, 152 sub-steps, and the gap
         # reads 4.8e-15
-        solves = _record(monkeypatch, "zgbtrs")
+        solves = record(oracle, "zgbtrs")
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=1024)
         out = grid_evolve(schedule, grid, steps=14)
@@ -261,26 +243,26 @@ class TestGridEvolve:
         [((0.0, 0.5, 0.0), 512), ((3.0, 0.0, 0.0), 4096)],
         ids=["pure-squeeze", "stiff-free"],
     )
-    def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points, monkeypatch):
+    def test_matches_banded_solve_where_pivoting_could_occur(self, g, n_points, record):
         # both sides pivot: the squeeze's edge off-diagonals exceed its
         # diagonal, so the band LU exchanges rows there on all four shifts;
         # the free particle's tau H reaches about 3500 in its 6 steps, and
         # the shift 4.21 - 5.31i pivots. No band sweep undoes row exchanges,
         # so these sub-steps solve by zgbtrs.
-        solves = _record(monkeypatch, "zgbtrs")
+        solves = record(oracle, "zgbtrs")
         schedule = [QuadraticGenerator(*g)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=n_points)
         out = grid_evolve(schedule, grid, steps=2)
         assert solves
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
-    def test_both_solve_paths_in_one_call(self, monkeypatch):
+    def test_both_solve_paths_in_one_call(self, record):
         # at 2 steps per unit of generator norm (3, 6 and 3 steps) only the
         # shift 4.21 - 5.31i of the second and third entries exchanges rows,
         # so one call solves by both paths over the same storage: 6 + 3
         # sub-steps by zgbtrs, the other 39 of the 48 by two sweeps
-        solves = _record(monkeypatch, "zgbtrs")
-        sweeps = _record(monkeypatch, "ztbsv")
+        solves = record(oracle, "zgbtrs")
+        sweeps = record(oracle, "ztbsv")
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(3.0, 0.0, 0.0),
                     QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0))
@@ -289,12 +271,12 @@ class TestGridEvolve:
         # the gap reads 1.7e-13, under the bound of the pivoting cases above
         assert np.abs(out.amplitudes - _banded_reference(schedule, grid, 2)).max() <= 1e-12
 
-    def test_factorizations_overwrite_the_per_call_buffer(self, monkeypatch):
+    def test_factorizations_overwrite_the_per_call_buffer(self, record):
         # each entry's LU lands in the bands of the one per-call buffer, and
         # the sweeps read L and U there; an f2py copy, or a factor copied
         # out, would allocate fresh bands per entry
-        factorizations = _record(monkeypatch, "zgbtrf")
-        sweeps = _record(monkeypatch, "ztbsv")
+        factorizations = record(oracle, "zgbtrf")
+        sweeps = record(oracle, "ztbsv")
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=512)
         grid_evolve([QuadraticGenerator(0.8, 0.3, 1.2)] * 2, grid, steps=2)
         # 2 entries x 2 pairs x 2 shifts, each pair's two shifts in the same
@@ -323,20 +305,13 @@ class TestGridEvolve:
                 assert not np.shares_memory(view, bands[1 - j % 2])
                 assert not np.shares_memory(view, b)
 
-    def test_hamiltonian_built_once_per_entry(self, monkeypatch):
+    def test_hamiltonian_built_once_per_entry(self, record):
         # all four Pade shifts factor the same H, so each entry builds its bands once
-        calls = []
-        real = oracle._hamiltonian_bands
-
-        def counting_bands(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(oracle, "_hamiltonian_bands", counting_bands)
+        calls = record(oracle, "_hamiltonian_bands")
         schedule = [QuadraticGenerator(0.8, 0.3, 1.2), QuadraticGenerator(1.0, -0.4, 0.5)]
         grid = Grid.from_wavepacket(GaussianWavepacket(0.5, 1.0, 1.0), n_points=512)
         grid_evolve(schedule, grid, steps=2)
-        assert calls == schedule
+        assert [args[0] for args, _, _ in calls] == schedule
 
     def test_singular_factorization_raises(self, monkeypatch):
         # zgbtrf's info = k > 0 reports U[k-1, k-1] = 0
@@ -352,7 +327,7 @@ class TestGridEvolve:
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
         amplitudes = grid.amplitudes.copy()
         amplitudes[200] = np.nan
-        bad = Grid(grid.x_min, grid.x_max, grid.n_points, amplitudes)
+        bad = Grid(grid.x_min, grid.x_max, amplitudes)
         with pytest.raises(ValueError):
             grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], bad, steps=2)
 
@@ -379,14 +354,13 @@ class TestGridEvolve:
         out1 = grid_evolve([full], grid, steps=100)
         assert len(substeps) == 4 * 100
         assert sorted(shifts, key=lambda s: (s.real, s.imag)) == substeps
-        diff = out2.amplitudes - out1.amplitudes
-        assert np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing) < 1e-13
+        assert out2.distance(out1.amplitudes) < 1e-13
 
-    def test_planned_work_limit_fires_before_any_allocation(self, monkeypatch):
+    def test_planned_work_limit_fires_before_any_allocation(self, record):
         # 1e-4 0 1e4 is a 1-rad rotation, but its norm of 1e4 plans 4e4
         # steps at 4 steps per unit; the call is refused before the buffer
         # or any band is built
-        bands = _record(monkeypatch, "_hamiltonian_bands")
+        bands = record(oracle, "_hamiltonian_bands")
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0))
         tracemalloc.start()
         try:
@@ -412,7 +386,7 @@ class TestGridEvolve:
             with pytest.raises(GridWorkLimitError, match="more than 12 Pade steps"):
                 grid_evolve(schedule, grid, steps=4)
 
-    def test_steps_beyond_the_float_range(self, monkeypatch):
+    def test_steps_beyond_the_float_range(self, record):
         # 10^400 steps per unit, beyond the float range: a nonzero entry,
         # however small, plans more than the limit, and a zero entry still
         # takes one step, as at one step per unit
@@ -421,7 +395,7 @@ class TestGridEvolve:
         for beta in (5e-324, 1.0):
             with pytest.raises(GridWorkLimitError, match=f"more than {MAX_GRID_STEPS} Pade steps"):
                 grid_evolve([zero, QuadraticGenerator(0.0, beta, 0.0)], grid, steps=10**400)
-        sweeps = _record(monkeypatch, "ztbsv")
+        sweeps = record(oracle, "ztbsv")
         one = grid_evolve([zero] * 2, grid, steps=1)
         assert len(sweeps) == 16
         huge = grid_evolve([zero] * 2, grid, steps=10**400)
@@ -433,9 +407,9 @@ class TestGridEvolve:
         # error far below the spatial error at 2048 points; h^4 predicts 16x
         # per halving
         schedule, packet, state = _two_entry_case()
-        errors = [_l2(grid_evolve(schedule, Grid.from_wavepacket(packet, n_points=n), steps=20),
-                      state)
-                  for n in (512, 1024, 2048)]
+        outs = [grid_evolve(schedule, Grid.from_wavepacket(packet, n_points=n), steps=20)
+                for n in (512, 1024, 2048)]
+        errors = [out.distance(state.evaluate(out.x)) for out in outs]
         assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
     def test_error_falls_as_tau_to_the_eighth(self):
@@ -449,7 +423,5 @@ class TestGridEvolve:
         grid = Grid.from_wavepacket(packet)
         assert [[_entry_steps(g, steps) for g in schedule] for steps in (2, 4)] == [[3, 3], [6, 6]]
         reference = grid_evolve(schedule, grid, steps=60).amplitudes
-        errors = [np.sqrt(np.sum(np.abs(grid_evolve(schedule, grid, steps=steps).amplitudes
-                                        - reference) ** 2) * grid.spacing)
-                  for steps in (2, 4)]
+        errors = [grid_evolve(schedule, grid, steps=steps).distance(reference) for steps in (2, 4)]
         assert errors[0] / errors[1] >= 128.0

@@ -208,6 +208,14 @@ class TestWavepacket:
         assert psi.evaluate(1e200) == 0j
         np.testing.assert_array_equal(psi.evaluate(np.array([-1e200, 1e200])), [0j, 0j])
 
+    def test_a_point_gives_the_bits_of_a_one_element_array(self):
+        # a float, a numpy scalar and a 0-d array take the array's arithmetic
+        psi = ComplexGaussian(-0.3 + 0.7j, 1.1 - 0.4j, 0.6 + 0.2j)
+        for x in [*np.random.default_rng(0).normal(0.0, 3.0, 20).tolist(), 1e200, -1e200]:
+            ref = psi.evaluate(np.array([x]))[0]
+            for point in (x, np.float64(x), np.array(x)):
+                assert psi.evaluate(point).tobytes() == ref.tobytes()
+
 
 class TestConvolve:
     def test_short_time_is_near_identity(self):
@@ -380,6 +388,8 @@ UNITARY_MSG = "factors are not unitary: |s|^2-|r|^2-1 = 3.000e+00"
 SYMPLECTIC_MSG = "matrix is not symplectic: det-1 = 1.000e+00"
 # NaN residuals must fail the guards too; an overflowed flow has A = inf, B = 0
 NAN_FACTORS = NormalOrderFactors(complex(math.nan, 0.0), 0j)
+# |s|^2 overflows a double: the residual is NaN, not an OverflowError
+HUGE_FACTORS = NormalOrderFactors(1e200 + 0j, 0j)
 OVERFLOWED = AbcdMatrix(math.inf, 0.0, 0.0, 0.0)
 UNITARY_NAN_MSG = "factors are not unitary: |s|^2-|r|^2-1 = nan"
 SYMPLECTIC_NAN_MSG = "matrix is not symplectic: det-1 = nan"
@@ -393,10 +403,12 @@ SYMPLECTIC_NAN_MSG = "matrix is not symplectic: det-1 = nan"
     (lambda: kernel_from_abcd(NOT_SYMPLECTIC), SYMPLECTIC_MSG),
     (lambda: abcd_from_sr(NAN_FACTORS), UNITARY_NAN_MSG),
     (lambda: sandwich(CoherentLabel(0j), CoherentLabel(0j), NAN_FACTORS), UNITARY_NAN_MSG),
+    (lambda: kernel_from_sr(HUGE_FACTORS), UNITARY_NAN_MSG),
     (lambda: sr_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
     (lambda: kernel_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
 ], ids=["abcd_from_sr", "kernel_from_sr", "sandwich", "sr_from_abcd", "kernel_from_abcd",
-        "abcd_from_sr-nan", "sandwich-nan", "sr_from_abcd-nan", "kernel_from_abcd-nan"])
+        "abcd_from_sr-nan", "sandwich-nan", "kernel_from_sr-overflow", "sr_from_abcd-nan",
+        "kernel_from_abcd-nan"])
 def test_invariant_guards_raise_plain_value_error(call, message):
     # The benchmark sorts these failures by exact type and message prefix.
     with pytest.raises(ValueError) as err:

@@ -109,3 +109,23 @@ def test_sampling_helpers_cover_both_signs():
     assert any(d < -1.0 for d in discs)
     near = verify.near_degenerate_generators(rng, 200)
     assert all(abs(g.beta**2 - g.alpha * g.gamma) < 1e-6 for g in near)
+
+
+def test_a_raising_suite_fails_and_the_others_still_run(monkeypatch, capsys):
+    # a 1e-9 relative fault in s trips the unitarity guard inside the
+    # symplectic and propagator suites, and a drifted overlap the iwop
+    # suite's completeness assertion; verify still prints its summary
+    _small_sample(monkeypatch)
+    real = verify.normal_order
+    monkeypatch.setattr(verify, "normal_order",
+                        lambda g: replace(real(g), s=real(g).s * (1 + 1e-9)))
+    monkeypatch.setattr(coherent_iwop, "overlap_position", lambda z, x: 0.0)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["lie_core"]["checks"]["unitarity"]["pass"] is False
+    assert "error" not in suites["lie_core"] and suites["oracle"]["pass"] is True
+    unitary = "ValueError: factors are not unitary: |s|^2-|r|^2-1 = "
+    for name, error in [("symplectic", unitary), ("propagator", unitary), ("iwop", (
+            "AssertionError: completeness integrand drifted from overlap_position"))]:
+        assert suites[name].pop("error").startswith(error)
+        assert suites[name] == {"pass": False, "max_residual": None, "checks": {}}

@@ -132,6 +132,18 @@ def fock_unitary_ordered(g: QuadraticGenerator) -> np.ndarray:
     return left @ middle @ right
 
 
+def _check_axis(x_min: float, x_max: float, n: int) -> None:
+    """Raise ValueError unless n points on [x_min, x_max] make a ``Grid`` axis."""
+    if n < 512 or (n & (n - 1)) != 0:
+        raise ValueError(f"n_points must be a power of two >= 512, got {n}")
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
+        raise ValueError("x_min and x_max must be finite with x_max > x_min, "
+                         f"got {x_min!r} and {x_max!r}")
+    h = (x_max - x_min) / (n - 1)
+    if not (math.isfinite(h) and h * h > 0.0 and math.isfinite(1.0 / (h * h))):
+        raise ValueError(f"grid spacing {h!r} must be finite with a finite 1/spacing^2")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform position grid carrying one-dimensional complex amplitudes.
@@ -145,18 +157,9 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-        n = self.n_points
-        if n < 512 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 512, got {n}")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
-                and self.x_max > self.x_min):
-            raise ValueError("x_min and x_max must be finite with x_max > x_min, "
-                             f"got {self.x_min!r} and {self.x_max!r}")
-        h = self.spacing
-        if not (math.isfinite(h) and h * h > 0.0 and math.isfinite(1.0 / (h * h))):
-            raise ValueError(f"grid spacing {h!r} must be finite with a finite 1/spacing^2")
-        if self.amplitudes.shape != (n,):
-            raise ValueError(f"amplitudes have shape {self.amplitudes.shape}, expected ({n},)")
+        _check_axis(self.x_min, self.x_max, self.n_points)
+        if self.amplitudes.ndim != 1:
+            raise ValueError(f"amplitudes have shape {self.amplitudes.shape}, expected one axis")
 
     @property
     def n_points(self) -> int:
@@ -173,9 +176,8 @@ class Grid:
     @classmethod
     def from_wavepacket(cls, psi: GaussianWavepacket, x_min: float = -40.0, x_max: float = 40.0,
                         n_points: int = 4096) -> "Grid":
-        # validate the axis before sampling the packet on it
-        grid = cls(x_min, x_max, np.zeros(n_points, dtype=complex))
-        return replace(grid, amplitudes=psi.evaluate(grid.x))
+        _check_axis(x_min, x_max, n_points)  # before allocating the samples
+        return cls(x_min, x_max, psi.evaluate(np.linspace(x_min, x_max, n_points)))
 
     def distance(self, values) -> float:
         """The L2 distance sqrt(h sum |amplitudes - values|^2) that evolve and verify report."""

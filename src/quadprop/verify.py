@@ -75,8 +75,8 @@ def lie_core_suite(rng) -> dict:
     res = [abs(normal_order(g).unitarity_residual()) for g in gens]
     checks["unitarity"] = _check(res, 1e-10)
 
-    # Continuity through the delta_sq = 0 seam of gc/gs: delta_sq = 0 generators
-    # against (alpha, beta, gamma - eps/alpha), whose delta_sq is eps.
+    # Continuity through gc/gs's exact delta_sq = 0 case, between cos/sin and cosh/sinh:
+    # delta_sq = 0 generators against (alpha, beta, gamma - eps/alpha), whose delta_sq is eps.
     res = []
     for alpha, beta, gamma in [(1.0, 1.0, 1.0), (2.0, -1.0, 0.5), (3.0, 0.0, 0.0),
                                (-0.5, 0.5, -0.5)]:

@@ -229,34 +229,41 @@ class TestEvolve:
         code, _, err = _run(capsys, ["evolve", str(tmp_path / "nope.sched")])
         assert code == 2
 
-    @pytest.mark.parametrize("options", [
-        ["--steps", "0"],
-        ["--steps", "-5"],
-        ["--n-points", "1000"],
-        ["--x-min", "5", "--x-max", "-5"],
-        ["--x-min=-inf"],
-        ["--width", "1e-170"],
-        ["--center-q", "1e200"],
-        ["--width", "1e-160"],
-        ["--width", "1e-80", "--center-q", "1e150"],
-        ["--n-points", "512", "--x-min=-1e-300", "--x-max", "1e-300"],
-        ["--x-min=-1e308", "--x-max", "1e308"],
+    @pytest.mark.parametrize(("options", "message"), [
+        (["--steps", "0"], "--steps must be >= 1, got 0"),
+        (["--steps", "-5"], "--steps must be >= 1, got -5"),
+        (["--n-points", "1000"], "n_points must be a power of two >= 512, got 1000"),
+        # checked before the samples are allocated
+        (["--n-points=-5"], "n_points must be a power of two >= 512, got -5"),
+        (["--x-min", "5", "--x-max", "-5"], "x_min and x_max must be finite with x_max > x_min"),
+        (["--n-points", str(2**50), "--x-min", "5", "--x-max", "-5"],
+         "x_min and x_max must be finite with x_max > x_min"),
+        (["--x-min=-inf"], "x_min and x_max must be finite with x_max > x_min"),
+        (["--width", "1e-170"], "cannot sample "),
+        (["--center-q", "1e200"], "cannot sample "),
+        (["--width", "1e-160"], "cannot sample "),
+        (["--width", "1e-80", "--center-q", "1e150"], "cannot sample "),
+        (["--n-points", "512", "--x-min=-1e-300", "--x-max", "1e-300"], "grid spacing "),
+        (["--x-min=-1e308", "--x-max", "1e308"], "grid spacing inf "),
         # 2^50 points exceed the address space: the allocation fails at once
-        ["--n-points", str(2**50)],
+        (["--n-points", str(2**50)], "Unable to allocate "),
         # e^{-39^2/2} underflows the packet's amplitude to 0
-        ["--center-q", "39", "--x-min", "0", "--x-max", "80"],
+        (["--center-q", "39", "--x-min", "0", "--x-max", "80"], "cannot sample "),
         # e^{-37.69^2/2} is subnormal, and e^{+37.69^2/2} at the center overflows
-        ["--width", "1e-100", "--center-q", "3.769e-99", "--x-min", "0", "--x-max", "8e-99"],
-    ], ids=["zero-steps", "negative-steps", "point-count", "reversed-interval",
+        (["--width", "1e-100", "--center-q", "3.769e-99", "--x-min", "0", "--x-max", "8e-99"],
+         "cannot sample "),
+    ], ids=["zero-steps", "negative-steps", "point-count", "negative-point-count",
+            "reversed-interval", "reversed-interval-before-allocation",
             "infinite-interval", "width-squared-underflows", "center-squared-overflows",
             "width-squared-subnormal", "center-over-width-squared-overflows",
             "spacing-squared-underflows", "interval-width-overflows", "grid-exceeds-memory",
             "amplitude-underflows", "narrow-amplitude-factor-subnormal"])
-    def test_bad_grid_option_exit_code(self, tmp_path, capsys, options):
+    def test_bad_grid_option_exit_code(self, tmp_path, capsys, options, message):
         sched = _schedule(tmp_path, "1.0 0.0 0.0\n")
         code, out, err = _run(capsys, ["evolve", sched, *options])
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_csv_rows_match_per_cell_format(self):

@@ -4,11 +4,13 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadprop import lie_core
 from quadprop.lie_core import (
     QuadraticGenerator,
     _flow,
@@ -27,17 +29,14 @@ def gc_gs(x):
     return float(gcv), float(gsv)
 
 
-def _series_cosh1_sinh1():
-    """Independent reference: cosh(1), sinh(1) summed term by term."""
-    cosh1 = sinh1 = 0.0
-    fact = 1.0
-    for k in range(40):
-        # fact == (2k)! when entering the loop body
-        cosh1 += 1.0 / fact
-        fact *= 2 * k + 1
-        sinh1 += 1.0 / fact
-        fact *= 2 * k + 2
-    return cosh1, sinh1
+def _gc_gs_reference(x):
+    """gc(x) and gs(x) of the double x in mpmath, at the caller's working precision."""
+    rt = mpmath.sqrt(abs(mpmath.mpf(x)))
+    if x > 0:
+        return mpmath.cosh(rt), mpmath.sinh(rt) / rt
+    if x < 0:
+        return mpmath.cos(rt), mpmath.sin(rt) / rt
+    return mpmath.mpf(1), mpmath.mpf(1)
 
 
 class TestToSU11:
@@ -79,39 +78,31 @@ class TestGcGs:
     def test_values_at_zero(self):
         assert gc_gs(0.0) == (1.0, 1.0)
 
-    def test_trigonometric_branch(self):
-        gc, gs = gc_gs(-(np.pi**2) / 4.0)
-        assert gc == pytest.approx(0.0, abs=1e-15)
-        assert gs == pytest.approx(2.0 / np.pi, abs=1e-15)
+    def test_against_mpmath(self):
+        # 1000 log-uniform |x| in [1e-12, 1e5] of alternating sign, zero, the
+        # points on either side of zero, and gc = 0 at x = -pi^2/4
+        rng = np.random.default_rng(33)
+        xs = ((-1.0) ** np.arange(1000) * 10.0 ** rng.uniform(-12.0, 5.0, 1000)).tolist()
+        xs += [0.0, -1e-9, 1e-9, -1e-4, 1e-4, 1.0, -(math.pi**2) / 4.0]
+        bad = []
+        with mpmath.workdps(50):
+            for x in xs:
+                for name, got, ref in zip(("gc", "gs"), gc_gs(x), _gc_gs_reference(x)):
+                    err = float(abs(mpmath.mpf(got) - ref))
+                    # 1 ulp up to |x| = 1, where gc and gs lie in [0.5, 1.6]; beyond,
+                    # cos/sin carry the long-double rounding of sqrt(-x) absolutely
+                    f = abs(float(ref))
+                    bound = math.ulp(f) if abs(x) <= 1.0 else 2.0**-52 * max(1.0, f)
+                    if not err <= bound:
+                        bad.append((x, name, err / bound))
+        assert bad == []
 
-    def test_hyperbolic_branch_against_series(self):
-        cosh1, sinh1 = _series_cosh1_sinh1()
-        gc, gs = gc_gs(1.0)
-        assert gc == pytest.approx(cosh1, abs=1e-14)
-        assert gs == pytest.approx(sinh1, abs=1e-14)
-        # frozen reference values
-        assert gc == pytest.approx(1.5430806348152437, abs=1e-12)
-        assert gs == pytest.approx(1.1752011936438014, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [-1e-9, 1e-9])
-    def test_continuous_near_zero(self, x):
-        gc, gs = gc_gs(x)
-        assert abs(gc - 1.0) < 1e-7
-        assert abs(gs - 1.0) < 1e-7
-
-    @pytest.mark.parametrize("side", [-1.0, 1.0])
-    def test_series_matches_direct_at_cutoff(self, side):
-        # both expressions must agree where the implementation switches over
-        x = side * 1e-4
-        gc, gs = gc_gs(x)
-        direct = math.cosh(math.sqrt(x)) if x > 0 else math.cos(math.sqrt(-x))
-        assert gc == pytest.approx(direct, abs=1e-14)
-        direct = (
-            math.sinh(math.sqrt(x)) / math.sqrt(x)
-            if x > 0
-            else math.sin(math.sqrt(-x)) / math.sqrt(-x)
-        )
-        assert gs == pytest.approx(direct, abs=1e-14)
+    def test_nan_delta_sq_stays_nan(self, monkeypatch):
+        # where long double is a 64-bit double, b*b - a*c at 1e200 is inf - inf
+        monkeypatch.setattr(lie_core, "_ONE", np.float64(1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, delta_sq, gcv, gsv = _flow(QuadraticGenerator(1e200, 1e200, 1e200))
+        assert math.isnan(delta_sq) and math.isnan(gcv) and math.isnan(gsv)
 
 
 class TestNormalOrder:
@@ -159,7 +150,7 @@ class TestFlowMemo:
     from the memo of the generator under test.
     """
 
-    # elliptic with alpha == gamma (Im r is -0.0), hyperbolic, and the series branch
+    # elliptic with alpha == gamma (Im r is -0.0), hyperbolic, and elliptic at delta_sq = -4.6e-5
     GENS = [(1.0, 0.0, 1.0), (0.3, 2.5, -1.7), (1e-3, 2e-3, 0.05)]
 
     @staticmethod

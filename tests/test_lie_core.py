@@ -29,6 +29,19 @@ def gc_gs(x):
     return float(gcv), float(gsv)
 
 
+def _series_cosh1_sinh1():
+    """Independent reference: cosh(1), sinh(1) summed term by term."""
+    cosh1 = sinh1 = 0.0
+    fact = 1.0
+    for k in range(40):
+        # fact == (2k)! when entering the loop body
+        cosh1 += 1.0 / fact
+        fact *= 2 * k + 1
+        sinh1 += 1.0 / fact
+        fact *= 2 * k + 2
+    return cosh1, sinh1
+
+
 def _gc_gs_reference(x):
     """gc(x) and gs(x) of the double x in mpmath, at the caller's working precision."""
     rt = mpmath.sqrt(abs(mpmath.mpf(x)))
@@ -77,6 +90,26 @@ class TestToSU11:
 class TestGcGs:
     def test_values_at_zero(self):
         assert gc_gs(0.0) == (1.0, 1.0)
+
+    def test_trigonometric_branch(self):
+        gc, gs = gc_gs(-(np.pi**2) / 4.0)
+        assert gc == pytest.approx(0.0, abs=1e-15)
+        assert gs == pytest.approx(2.0 / np.pi, abs=1e-15)
+
+    def test_hyperbolic_branch_against_series(self):
+        cosh1, sinh1 = _series_cosh1_sinh1()
+        gc, gs = gc_gs(1.0)
+        assert gc == pytest.approx(cosh1, abs=1e-14)
+        assert gs == pytest.approx(sinh1, abs=1e-14)
+        # frozen reference values
+        assert gc == pytest.approx(1.5430806348152437, abs=1e-12)
+        assert gs == pytest.approx(1.1752011936438014, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [-1e-9, 1e-9])
+    def test_continuous_near_zero(self, x):
+        gc, gs = gc_gs(x)
+        assert abs(gc - 1.0) < 1e-7
+        assert abs(gs - 1.0) < 1e-7
 
     def test_against_mpmath(self):
         # 1000 log-uniform |x| in [1e-12, 1e5] of alternating sign, zero, the

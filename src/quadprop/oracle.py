@@ -139,7 +139,10 @@ def _check_axis(x_min: float, x_max: float, n: int) -> None:
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
         raise ValueError("x_min and x_max must be finite with x_max > x_min, "
                          f"got {x_min!r} and {x_max!r}")
-    h = (x_max - x_min) / (n - 1)
+    # past 2^53, n - 1 rounds to n; from 2^1024 on, n has no float and the
+    # width is scaled by 1/n exactly
+    h = ((x_max - x_min) / (n - 1) if n < 2**1024
+         else math.ldexp(x_max - x_min, 1 - n.bit_length()))
     if not (math.isfinite(h) and h * h > 0.0 and math.isfinite(1.0 / (h * h))):
         raise ValueError(f"grid spacing {h!r} must be finite with a finite 1/spacing^2")
 

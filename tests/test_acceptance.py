@@ -3,37 +3,44 @@
 Criteria 1-2 compare against textbook kernels written out inline.
 Criteria 3-10 read the checks of ``quadprop verify`` (the session's
 ``verify_summary`` fixture), which runs each seeded sweep once: every
-bound check must pass at a tolerance no looser than the contract's. Run
-with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.
+check in ``VERIFY_CHECKS`` must pass at a tolerance no looser than its
+cap there. Run with ``pytest tests/test_acceptance.py -v -s`` to see the
+per-criterion report.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 
 from quadprop.propagator import kernel_from_abcd, named_generator
 from quadprop.symplectic import abcd_from_generator
 
 QQ_GRID = [(q, Q) for q in np.linspace(-2.0, 2.0, 5) for Q in np.linspace(-2.0, 2.0, 5)]
 
-# (criterion, description, verify check, contract tolerance)
-VERIFY_BOUND = [
-    (3, "|s|^2 - |r|^2 = 1 over 10^4 generators", "lie_core.unitarity", 1e-10),
-    (4, "AD - BC = 1 over the same sample", "symplectic.determinant", 1e-10),
-    (4, "flow matrix vs matrix-exponential oracle", "symplectic.matrix_exp_oracle", 1e-10),
-    (5, "factor dictionary matches generator route", "symplectic.sr_dictionary", 1e-10),
-    (5, "dictionary round trip", "symplectic.dictionary_roundtrip", 1e-12),
-    (6, "factor route = matrix route", "propagator.dual_form", 1e-10),
-    (6, "coherent route = factor route", "iwop.dual_route", 1e-10),
-    (7, "truncated-Fock direct vs ordered product", "lie_core.fock_equivalence", 1e-6),
-    (7, "coherent matrix element vs truncated-Fock unitary", "iwop.sandwich_fock", 1e-12),
-    (8, "matrix and classical map from W", "propagator.generating_roundtrip", 1e-10),
-    (9, "kernel composition up to constant phase", "propagator.kernel_group", 1e-8),
-    (10, "grid oracle vs kernel convolution", "oracle.end_to_end", 5e-7),
-    (10, "grid norm conservation", "oracle.norm_conservation", 1e-10),
-]
+# Every check that `quadprop verify` prints, in its order, as
+# suite.check: (criterion, description, contract cap on its tolerance).
+VERIFY_CHECKS = {
+    "lie_core.unitarity": (3, "|s|^2 - |r|^2 = 1 over 10^4 generators", 1e-10),
+    "lie_core.seam_continuity": (3, "(s, r) continuous through delta_sq = 0", 1e-7),
+    "lie_core.fock_equivalence": (7, "truncated-Fock direct vs ordered product", 1e-6),
+    "symplectic.determinant": (4, "AD - BC = 1 over the same sample", 1e-10),
+    "symplectic.matrix_exp_oracle": (4, "flow matrix vs matrix-exponential oracle", 1e-10),
+    "symplectic.sr_dictionary": (5, "factor dictionary matches generator route", 1e-10),
+    "symplectic.dictionary_roundtrip": (5, "dictionary round trip", 1e-12),
+    "symplectic.composition_chain": (4, "AD - BC = 1 along 1000 composed steps", 1e-9),
+    "propagator.dual_form": (6, "factor route = matrix route", 1e-10),
+    "propagator.generating_roundtrip": (8, "matrix and classical map from W", 1e-10),
+    "propagator.kernel_group": (9, "kernel composition up to constant phase", 1e-8),
+    "propagator.convolve_unitarity": (10, "kernel convolution conserves packet norm", 1e-10),
+    "iwop.completeness": (6, "coherent-state completeness, d^2z/pi measure", 1e-4),
+    "iwop.dual_route": (6, "coherent route = factor route", 1e-10),
+    "iwop.sandwich_fock": (7, "coherent matrix element vs truncated-Fock unitary", 1e-12),
+    "oracle.fock_commutator": (7, "[a, a^dag] = 1 on the truncated Fock space", 1e-12),
+    "oracle.norm_conservation": (10, "grid norm conservation", 1e-10),
+    "oracle.end_to_end": (10, "grid oracle vs kernel convolution", 5e-7),
+}
 
 
 def _report(number: int, description: str, residual: float, tolerance: float) -> None:
@@ -41,19 +48,6 @@ def _report(number: int, description: str, residual: float, tolerance: float) ->
     print(f"[{status}] criterion {number:2d}: {description} "
           f"(residual {residual:.3e}, tolerance {tolerance:.0e})")
     assert residual <= tolerance
-
-
-def _bind(summary: dict, number: int) -> None:
-    """Criterion ``number`` holds when each verify check it binds passes at
-    a tolerance no looser than the contract's."""
-    for criterion, description, name, tolerance in VERIFY_BOUND:
-        if criterion != number:
-            continue
-        suite, check = name.split(".")
-        result = summary["suites"][suite]["checks"][check]
-        assert result["tolerance"] <= tolerance, f"{name} loosened to {result['tolerance']:.0e}"
-        assert result["pass"], f"{name} failed"
-        _report(number, f"{description} [{name}]", result["residual"], tolerance)
 
 
 def test_criterion_01_harmonic_oscillator_reproduction():
@@ -96,33 +90,13 @@ def test_criterion_02_free_particle_reproduction():
     _report(2, "zero-frequency continuity", worst, 1e-5)
 
 
-def test_criterion_03_unitarity_identity(verify_summary):
-    _bind(verify_summary, 3)
-
-
-def test_criterion_04_symplectic_identity(verify_summary):
-    _bind(verify_summary, 4)
-
-
-def test_criterion_05_dictionary_consistency(verify_summary):
-    _bind(verify_summary, 5)
-
-
-def test_criterion_06_dual_route_kernel_equality(verify_summary):
-    _bind(verify_summary, 6)
-
-
-def test_criterion_07_normal_ordering_oracle(verify_summary):
-    _bind(verify_summary, 7)
-
-
-def test_criterion_08_classical_correspondence(verify_summary):
-    _bind(verify_summary, 8)
-
-
-def test_criterion_09_composition_group_property(verify_summary):
-    _bind(verify_summary, 9)
-
-
-def test_criterion_10_end_to_end_physics(verify_summary):
-    _bind(verify_summary, 10)
+@pytest.mark.parametrize("name", VERIFY_CHECKS)
+def test_verify_check_within_its_cap(verify_summary, name):
+    number, description, cap = VERIFY_CHECKS[name]
+    suite, check = name.split(".")
+    checks = verify_summary["suites"][suite]["checks"]
+    assert check in checks, f"verify has no check {name}"
+    result = checks[check]
+    assert result["tolerance"] <= cap, f"{name} loosened to {result['tolerance']:.0e}"
+    assert result["pass"], f"{name} failed"
+    _report(number, f"{description} [{name}]", result["residual"], cap)

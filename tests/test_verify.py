@@ -8,17 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from quadprop import cli, coherent_iwop, verify
-
-# Unit tests leave these sweeps to verify, and the acceptance criteria read
-# their results, so a dropped or renamed check would silently remove coverage.
-EXPECTED_CHECKS = {
-    "lie_core": {"unitarity", "seam_continuity", "fock_equivalence"},
-    "symplectic": {"determinant", "matrix_exp_oracle", "sr_dictionary",
-                   "dictionary_roundtrip", "composition_chain"},
-    "propagator": {"dual_form", "generating_roundtrip", "kernel_group", "convolve_unitarity"},
-    "iwop": {"completeness", "dual_route", "sandwich_fock"},
-    "oracle": {"fock_commutator", "norm_conservation", "end_to_end"},
-}
+from test_acceptance import VERIFY_CHECKS
 
 
 def test_fresh_build_passes(verify_summary):
@@ -26,9 +16,13 @@ def test_fresh_build_passes(verify_summary):
 
 
 def test_summary_schema(verify_summary):
-    assert verify_summary["suites"].keys() == EXPECTED_CHECKS.keys()
-    for name, suite in verify_summary["suites"].items():
-        assert suite["checks"].keys() == EXPECTED_CHECKS[name]
+    # Unit tests leave verify's sweeps to it, so a dropped or renamed check
+    # would silently remove coverage: verify runs exactly the checks of the
+    # acceptance table, in its order.
+    suites = verify_summary["suites"]
+    assert [f"{name}.{check}" for name, suite in suites.items()
+            for check in suite["checks"]] == list(VERIFY_CHECKS)
+    for suite in suites.values():
         assert set(suite.keys()) == {"pass", "max_residual", "checks"}
         assert suite["pass"] is True
         for check in suite["checks"].values():

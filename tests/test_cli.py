@@ -432,54 +432,90 @@ def _heavy(modules: str) -> set:
     return {m for m in loaded if m in watched or m.startswith("scipy.linalg")}
 
 
-def test_closed_form_commands_load_no_heavy_module_and_build_one_parser(tmp_path):
-    # Every process compiles what it imports, so the heavy modules load only
-    # where they run; sys.modules only grows, so its names after the three
-    # commands cover each of them and `import quadprop` too. Importing the CLI
-    # builds no parser; the first main() builds it and later calls reuse it.
-    commands = [["decompose", "1", "0", "1"], ["kernel", "1", "0", "1", "0.3", "0.2", "--check"],
-                ["compose", _schedule(tmp_path, "0.5 0 0.5\n")]]
-    modules = _run_fresh(
-        "import os, sys, quadprop.cli as cli\n"
-        "assert cli.build_parser.cache_info().currsize == 0\n"
-        f"for argv in {commands!r}:\n"
-        "    assert cli.main([*argv, '-o', os.devnull]) == 0\n"
-        "info = cli.build_parser.cache_info()\n"
-        "assert (info.misses, info.hits) == (1, 2), info\n"
-        "print(*sys.modules)\n"
-    )
-    assert _heavy(modules) == set()
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """Return the stdout of a fresh interpreter for one of the import states
+    below, starting one process per state however many tests read it."""
+    schedule = _schedule(tmp_path_factory.mktemp("fresh"), "0.5 0 0.5\n")
+    closed_form = [["decompose", "1", "0", "1"],
+                   ["kernel", "1", "0", "1", "0.3", "0.2", "--check"],
+                   ["compose", schedule]]
+    evolve = ["evolve", schedule, "--n-points", "512", "--steps", "2", "-o", os.devnull]
+    scripts = {
+        # The parser cache before the first main(), (misses, hits) after the
+        # three commands, then every module loaded.
+        "closed-form": (
+            "import os, sys, quadprop.cli as cli\n"
+            "print(cli.build_parser.cache_info().currsize)\n"
+            f"for argv in {closed_form!r}:\n"
+            "    assert cli.main([*argv, '-o', os.devnull]) == 0\n"
+            "info = cli.build_parser.cache_info()\n"
+            "print(info.misses, info.hits)\n"
+            "print(*sys.modules)\n"
+        ),
+    }
+    # The modules loaded right after evolve, then the f2py wrapper objects
+    # and a scipy.linalg solve checked in the same process.
+    for first in ("evolve", "scipy.linalg"):
+        scripts[first] = (
+            "import sys\n"
+            + ("import scipy.linalg\n" if first == "scipy.linalg" else "")
+            + "import quadprop.cli\n"
+            f"assert quadprop.cli.main({evolve!r}) == 0\n"
+            "print(*sys.modules)\n"
+            "import numpy as np\n"
+            "import scipy.linalg\n"
+            "from scipy.linalg import blas, lapack\n"
+            "from quadprop import oracle\n"
+            "assert lapack.zgbtrf is oracle.zgbtrf\n"
+            "assert lapack.zgbtrs is oracle.zgbtrs\n"
+            "assert blas.ztbsv is oracle.ztbsv\n"
+            "bands = np.array([[0, 1, 2j], [4, 5 + 1j, 6], [7, 8j, 0]])\n"
+            "dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)\n"
+            "x = scipy.linalg.solve_banded((1, 1), bands, np.ones(3))\n"
+            "assert np.allclose(dense @ x, np.ones(3), rtol=0, atol=1e-14)\n"
+        )
+    runs = {}
+
+    def run(state):
+        if state not in runs:
+            runs[state] = _run_fresh(scripts[state])
+        return runs[state]
+    return run
+
+
+@pytest.mark.parametrize("state, heavy", [
+    ("closed-form", set()),
+    ("closed-form", set()),
+    ("closed-form", set()),
+    ("closed-form", set()),
+    ("evolve", {"quadprop.oracle", "quadprop._csvtext", "scipy", "scipy.linalg._fblas",
+                "scipy.linalg._flapack"}),
+], ids=["import", "decompose", "kernel-check", "compose", "evolve"])
+def test_commands_load_only_the_modules_they_run(fresh_run, state, heavy):
+    # Every process compiles what it imports, so the oracles, the CSV
+    # formatter, the verify suites and scipy load only where they run.
+    # sys.modules only grows, so the set after decompose, kernel --check and
+    # compose, run in one process, covers each of them and `import quadprop`.
+    # The grid oracle loads scipy.linalg's two compiled wrapper modules and no
+    # other module of scipy.linalg, the package included.
+    assert _heavy(fresh_run(state).splitlines()[-1]) == heavy
+
+
+def test_parser_is_built_once_on_first_call(fresh_run):
+    # importing the CLI builds no parser; the first main() builds it and
+    # later calls, of any command, reuse it
+    before, after, _ = fresh_run("closed-form").splitlines()
+    assert before == "0"
+    assert after == "1 2"
 
 
 @pytest.mark.parametrize("first", ["evolve", "scipy.linalg"])
-def test_evolve_shares_its_wrappers_with_scipy_linalg(tmp_path, first):
+def test_evolve_shares_its_wrappers_with_scipy_linalg(fresh_run, first):
     # In either import order the grid oracle and scipy.linalg hold the same
-    # f2py wrapper objects, and scipy.linalg still solves after evolve ran.
-    # Run first, evolve loads scipy.linalg's two compiled wrapper modules and
-    # no other module of scipy.linalg, the package included.
-    schedule = _schedule(tmp_path, "0.5 0 0.5\n")
-    argv = ["evolve", schedule, "--n-points", "512", "--steps", "2", "-o", os.devnull]
-    modules = _run_fresh(
-        "import sys\n"
-        + ("import scipy.linalg\n" if first == "scipy.linalg" else "")
-        + "import quadprop.cli\n"
-        f"assert quadprop.cli.main({argv!r}) == 0\n"
-        "print(*sys.modules)\n"
-        "import numpy as np\n"
-        "import scipy.linalg\n"
-        "from scipy.linalg import blas, lapack\n"
-        "from quadprop import oracle\n"
-        "assert lapack.zgbtrf is oracle.zgbtrf\n"
-        "assert lapack.zgbtrs is oracle.zgbtrs\n"
-        "assert blas.ztbsv is oracle.ztbsv\n"
-        "bands = np.array([[0, 1, 2j], [4, 5 + 1j, 6], [7, 8j, 0]])\n"
-        "dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)\n"
-        "x = scipy.linalg.solve_banded((1, 1), bands, np.ones(3))\n"
-        "assert np.allclose(dense @ x, np.ones(3), rtol=0, atol=1e-14)\n"
-    )
-    if first == "evolve":
-        assert _heavy(modules) == {"quadprop.oracle", "quadprop._csvtext", "scipy",
-                                   "scipy.linalg._fblas", "scipy.linalg._flapack"}
+    # f2py wrapper objects, and scipy.linalg still solves after evolve ran;
+    # the script asserts both and exits 0.
+    fresh_run(first)
 
 
 def test_overflow_writes_one_error_line_and_no_warning():

@@ -136,13 +136,12 @@ def _check_axis(x_min: float, x_max: float, n: int) -> None:
     """Raise ValueError unless n points on [x_min, x_max] make a ``Grid`` axis."""
     if n < 512 or (n & (n - 1)) != 0:
         raise ValueError(f"n_points must be a power of two >= 512, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"n_points must be <= sys.maxsize = {sys.maxsize}, got {n}")
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
         raise ValueError("x_min and x_max must be finite with x_max > x_min, "
                          f"got {x_min!r} and {x_max!r}")
-    # past 2^53, n - 1 rounds to n; from 2^1024 on, n has no float and the
-    # width is scaled by 1/n exactly
-    h = ((x_max - x_min) / (n - 1) if n < 2**1024
-         else math.ldexp(x_max - x_min, 1 - n.bit_length()))
+    h = (x_max - x_min) / (n - 1)
     if not (math.isfinite(h) and h * h > 0.0 and math.isfinite(1.0 / (h * h))):
         raise ValueError(f"grid spacing {h!r} must be finite with a finite 1/spacing^2")
 

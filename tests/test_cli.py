@@ -95,19 +95,14 @@ _BANDS = "error: Hamiltonian bands must not contain infs or NaNs"
 # stderr while stdout stays empty.
 # "{schedule}" in argv and in the line is the path of the body's file. A line
 # ending in "..." is matched as a prefix: the rest is Python's or numpy's text.
-EXIT_PATHS = {
-    # 2: a bad argument or input file, or a grid too large to allocate or run
+# The table is built from the parts that each exit-code test below reads.
+_NON_FINITE_POINT = {
     "q-inf": ("kernel 1 0 0 inf 1", None, 2, "error: kernel coordinate q must be finite, got inf"),
     "Q-nan": ("kernel 1 0 0 0 nan", None, 2, "error: kernel coordinate Q must be finite, got nan"),
-    "non-finite-generator": ("kernel nan 0 0 0 0", None, 2,
-                             "error: generator coefficient alpha must be finite, got nan"),
+}
+_BAD_GRID_OPTION = {
     "zero-steps": (*_evolve("--steps 0"), 2, "error: --steps must be >= 1, got 0"),
     "negative-steps": (*_evolve("--steps -5"), 2, "error: --steps must be >= 1, got -5"),
-    # refused as too much work, not as a precision loss of its conversion to a float
-    "steps-beyond-the-float-range": (
-        *_evolve(f"--steps {10**400}", _REFERENCE), 2,
-        f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps at {10**400} steps "
-        "per unit of generator norm"),
     "zero-width": (*_evolve("--width 0"), 2, "error: width must be positive and finite, got 0.0"),
     "non-finite-center": (*_evolve("--center-q nan"), 2, "error: center_q must be finite"),
     "point-count": (*_evolve("--n-points 1000"), 2,
@@ -147,35 +142,19 @@ EXIT_PATHS = {
     "point-count-past-int64": (*_evolve(f"--n-points {2**64}"), 2, f"{_COUNT} {2**64}"),
     "point-count-past-the-float-range": (*_evolve(f"--n-points {2**1400}"), 2,
                                          f"{_COUNT} {2**1400}"),
-    "missing-schedule": (*_evolve(body=None), 2,
-                         "error: [Errno 2] No such file or directory: '{schedule}'"),
-    "bad-schedule": (*_evolve(body="1.0 2.0\n"), 2,
-                     "error: {schedule}:1: expected 'alpha beta gamma', got '1.0 2.0'"),
-    "non-utf8-schedule": (
-        "compose {schedule}", b"1.0 0.0 0.0  # \xe9tape\n", 2,
-        "error: {schedule}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 15: "
-        "invalid continuation byte"),
-    # NotADirectoryError: an OSError that is neither FileNotFoundError nor
-    # IsADirectoryError is still a bad argument
+}
+# NotADirectoryError: an OSError that is neither FileNotFoundError nor
+# IsADirectoryError is still a bad argument
+_PATH_UNDER_A_FILE = {
     "output-under-a-file": ("decompose 1 0 1 -o {schedule}/out.json", "", 2,
                             "error: [Errno 20] Not a directory: '{schedule}/out.json'"),
     "schedule-under-a-file": ("compose {schedule}/x", "", 2,
                               "error: [Errno 20] Not a directory: '{schedule}/x'"),
-    # 3: a focal point, where the kernel is a delta function
-    "focal-point": ("kernel 0 0.6931 0 0 0", None, 3, _FOCAL),
-    "caustic-schedule": (*_evolve(body=f"{math.pi!r} 0 {math.pi!r}\n"), 3, _FOCAL),
-    # 4: the packet reaches the grid's edges
-    "boundary-leak": (*_evolve("--center-p 3.0 --x-min -5 --x-max 5 --n-points 512"), 4,
-                      "boundary leak: edge amplitude ..."),
-    # 5: lost digits, at an invariant guard, a non-finite value or an overflow
+}
+# 5: lost digits, at an invariant guard, a non-finite value or an overflow
+_PRECISION_LOSS = {
     "kernel-not-symplectic": ("kernel 0 20 0 0 1", None, 5, f"{_DET}2.532e-03"),
     "compose-drift": ("compose {schedule}", "0 20 0\n", 5, f"{_DET}2.532e-03 (schedule step 1)"),
-    # abcd_from_generator(0, 20, 0) already has det-1 = 2.5e-3 (hyperbolic
-    # cancellation at delta_sq = 400) before any product is taken
-    "compose-names-the-step-that-lost-digits": ("compose {schedule}", "0 1 1\n0 20 0\n1 0 1\n", 5,
-                                                f"{_DET}2.532e-03 (schedule step 2)"),
-    # JSON mode names the non-finite fields as text mode does, not in the
-    # JSON encoder's words
     "decompose-json-infinity": ("decompose 0 1000 0 --json", None, 5, _INFINITE),
     "decompose-text-infinity": ("decompose 0 1000 0", None, 5, _INFINITE),
     # |s| = cosh(400) is finite, but |s|^2 overflows: residual_unitarity is NaN
@@ -223,6 +202,35 @@ EXIT_PATHS = {
         *_evolve("--center-q 1e-7 --width 1e-8 --x-min=-1e300 --x-max 1e300 --n-points 512", ""),
         5, f"{_NAN_OUT}l2_diff"),
 }
+EXIT_PATHS = {
+    **_NON_FINITE_POINT, **_BAD_GRID_OPTION, **_PATH_UNDER_A_FILE, **_PRECISION_LOSS,
+    # the rows read by one test each, named after the row
+    "non-finite-generator": ("kernel nan 0 0 0 0", None, 2,
+                             "error: generator coefficient alpha must be finite, got nan"),
+    # refused as too much work, not as a precision loss of its conversion to a float
+    "steps-beyond-the-float-range": (
+        *_evolve(f"--steps {10**400}", _REFERENCE), 2,
+        f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps at {10**400} steps "
+        "per unit of generator norm"),
+    "missing-schedule": (*_evolve(body=None), 2,
+                         "error: [Errno 2] No such file or directory: '{schedule}'"),
+    "bad-schedule": (*_evolve(body="1.0 2.0\n"), 2,
+                     "error: {schedule}:1: expected 'alpha beta gamma', got '1.0 2.0'"),
+    "non-utf8-schedule": (
+        "compose {schedule}", b"1.0 0.0 0.0  # \xe9tape\n", 2,
+        "error: {schedule}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 15: "
+        "invalid continuation byte"),
+    # 3: a focal point, where the kernel is a delta function
+    "focal-point": ("kernel 0 0.6931 0 0 0", None, 3, _FOCAL),
+    "caustic-schedule": (*_evolve(body=f"{math.pi!r} 0 {math.pi!r}\n"), 3, _FOCAL),
+    # 4: the packet reaches the grid's edges
+    "boundary-leak": (*_evolve("--center-p 3.0 --x-min -5 --x-max 5 --n-points 512"), 4,
+                      "boundary leak: edge amplitude ..."),
+    # abcd_from_generator(0, 20, 0) already has det-1 = 2.5e-3 (hyperbolic
+    # cancellation at delta_sq = 400) before any product is taken
+    "compose-names-the-step-that-lost-digits": ("compose {schedule}", "0 1 1\n0 20 0\n1 0 1\n", 5,
+                                                f"{_DET}2.532e-03 (schedule step 2)"),
+}
 
 
 def _schedule(tmp_path, body) -> str:
@@ -245,25 +253,32 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("case", PINNED)
-def test_byte_identical_reruns(tmp_path, capsys, case):
-    # text and --json output are exactly these bytes, run after run
-    argv, body, text, payload = PINNED[case]
-    argv = _fill(tmp_path, body, argv)[0].split()
-    as_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    for extra, expected in (([], text), (["--json"], as_json)):
-        for _ in range(2):
-            assert _run(capsys, argv + extra) == (0, expected, "")
+@pytest.fixture
+def pinned(tmp_path, capsys):
+    """Check that the text and --json output of a PINNED case are exactly
+    its bytes, run after run."""
+    def check(case):
+        argv, body, text, payload = PINNED[case]
+        argv = _fill(tmp_path, body, argv)[0].split()
+        as_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        for extra, expected in (([], text), (["--json"], as_json)):
+            for _ in range(2):
+                assert _run(capsys, argv + extra) == (0, expected, "")
+    return check
 
 
-@pytest.mark.parametrize("case", EXIT_PATHS)
-def test_exit_path(tmp_path, capsys, case):
-    argv, body, code, line = EXIT_PATHS[case]
-    argv, line = _fill(tmp_path, body, argv, line)
-    got, out, err = _run(capsys, argv.split())
-    assert (got, out) == (code, "")
-    prefix = line[:-3] if line.endswith("...") else line + "\n"
-    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+@pytest.fixture
+def exit_path(tmp_path, capsys):
+    """Check an EXIT_PATHS row: its exit code, an empty stdout and exactly
+    its one stderr line."""
+    def check(case):
+        argv, body, code, line = EXIT_PATHS[case]
+        argv, line = _fill(tmp_path, body, argv, line)
+        got, out, err = _run(capsys, argv.split())
+        assert (got, out) == (code, "")
+        prefix = line[:-3] if line.endswith("...") else line + "\n"
+        assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    return check
 
 
 def _evolve_csv(tmp_path, body, *options):
@@ -278,6 +293,24 @@ class TestDecompose:
         code, out, _ = _run(capsys, ["decompose", "0", "0", "0", "--json"])
         report = json.loads(out)
         assert (code, report["residual_unitarity"], report["residual_symplectic"]) == (0, 0.0, 0.0)
+
+    def test_byte_identical_reruns(self, pinned):
+        pinned("decompose")
+
+
+class TestKernel:
+    def test_focal_point_exit_code(self, exit_path):
+        exit_path("focal-point")
+
+    @pytest.mark.parametrize("case", _NON_FINITE_POINT)
+    def test_non_finite_point_exit_code(self, exit_path, case):
+        exit_path(case)
+
+    def test_non_finite_generator_exit_code(self, exit_path):
+        exit_path("non-finite-generator")
+
+    def test_byte_identical_reruns(self, pinned):
+        pinned("kernel")
 
 
 class TestEvolve:
@@ -297,6 +330,22 @@ class TestEvolve:
         diffs = [float(row.split(",")[5]) for row in lines[1:-1]]
         assert max(diffs) < 1e-12
         assert float(lines[-1].split(",")[1]) < 1e-12
+
+    def test_caustic_schedule_exit_code(self, exit_path):
+        exit_path("caustic-schedule")
+
+    def test_boundary_leak_exit_code(self, exit_path):
+        exit_path("boundary-leak")
+
+    def test_bad_schedule_exit_code(self, exit_path):
+        exit_path("bad-schedule")
+
+    def test_missing_schedule_exit_code(self, exit_path):
+        exit_path("missing-schedule")
+
+    @pytest.mark.parametrize("case", _BAD_GRID_OPTION)
+    def test_bad_grid_option_exit_code(self, exit_path, case):
+        exit_path(case)
 
     def test_csv_rows_match_per_cell_format(self):
         # more rows than one formatting block, and not a multiple of it
@@ -360,11 +409,20 @@ class TestEvolve:
         assert err == (f"error: the schedule plans more than {MAX_GRID_STEPS} Pade steps "
                        "at 4 steps per unit of generator norm\n")
 
+    def test_steps_beyond_the_float_range_exit_code(self, exit_path):
+        exit_path("steps-beyond-the-float-range")
+
 
 class TestCompose:
+    def test_byte_identical_reruns(self, pinned):
+        pinned("compose")
+
     def test_empty_schedule_is_identity(self, tmp_path, capsys):
         code, out, _ = _run(capsys, ["compose", _schedule(tmp_path, ""), "--json"])
         assert (code, json.loads(out)["abcd"]) == (0, {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0})
+
+    def test_non_utf8_schedule_exit_code(self, exit_path):
+        exit_path("non-utf8-schedule")
 
 
 class TestVerifyCommand:
@@ -374,6 +432,31 @@ class TestVerifyCommand:
         out_path = tmp_path / "summary.json"
         assert cli.main(["verify", "-o", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("case", _PRECISION_LOSS)
+def test_precision_loss_exit_code(exit_path, case):
+    exit_path(case)
+
+
+# JSON mode names the non-finite fields as text mode does, not in the JSON
+# encoder's words
+@pytest.mark.parametrize("case", [
+    pytest.param("kernel-json-nan", id="kernel"),
+    pytest.param("decompose-json-infinity", id="decompose"),
+    pytest.param("decompose-json-square-overflow", id="decompose-square-overflow"),
+])
+def test_json_mode_names_the_non_finite_fields(exit_path, case):
+    exit_path(case)
+
+
+@pytest.mark.parametrize("case", _PATH_UNDER_A_FILE)
+def test_path_under_a_file_exit_code(exit_path, case):
+    exit_path(case)
+
+
+def test_compose_names_the_step_that_lost_digits(exit_path):
+    exit_path("compose-names-the-step-that-lost-digits")
 
 
 def _fresh_env(**extra):

@@ -2,15 +2,9 @@
 
 Commands: decompose, kernel, evolve, compose, verify. All numeric
 output is printed with %.12e formatting (locale-independent); identical
-inputs produce byte-identical output. ``evolve`` builds the closed-form
-route before the grid route, so a schedule that reaches a focal point
-exits before any grid work, and where both routes fail the closed-form
-route's error is reported. Exit codes: 0 ok, 1 verification
-failure, 2 parse error (or a grid too large to allocate, or a schedule
-that plans more than MAX_GRID_STEPS grid steps), 3 focal point,
-4 boundary leak, 5 precision loss (an invariant guard, a non-finite value
-in JSON, in the decompose or kernel report or in evolve's l2_diff, or an
-overflowing intermediate).
+inputs produce byte-identical output. Exit codes: 0 ok, 1 verification
+failure, 2 bad input, 3 focal point, 4 boundary leak, 5 precision loss;
+README's exit-code table gives the causes of each.
 """
 
 from __future__ import annotations
@@ -139,16 +133,27 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
+def _evolve_routes(args):
+    """The closed-form state and the evolved grid of ``evolve``'s schedule.
+
+    Reads the schedule file and applies it to ``args.packet`` through the
+    composed kernel and to ``args.grid0`` through the grid oracle. The
+    closed-form route is built first, so a schedule that reaches a focal
+    point raises before any grid work, and where both routes fail the
+    closed-form route's error is reported. An empty schedule leaves both
+    routes at the initial packet.
+    """
     from .oracle import grid_evolve
 
     schedule = load_schedule(args.schedule)
-    # with nothing to apply, both routes are the initial packet itself
-    state, grid = args.packet, args.grid0
-    if schedule:
-        # the closed-form route first: a focal schedule fails before any grid work
-        state = convolve(kernel_from_abcd(compose_schedule(schedule)), state)
-        grid = grid_evolve(schedule, grid, steps=args.steps)
+    if not schedule:
+        return args.packet, args.grid0
+    state = convolve(kernel_from_abcd(compose_schedule(schedule)), args.packet)
+    return state, grid_evolve(schedule, args.grid0, steps=args.steps)
+
+
+def cmd_evolve(args) -> int:
+    state, grid = _evolve_routes(args)
     kernel_route, grid_route = state.evaluate(grid.x), grid.amplitudes
     diff = abs(kernel_route - grid_route)
     l2 = grid.distance(kernel_route)

@@ -113,14 +113,16 @@ def to_su11(g: QuadraticGenerator) -> SU11Params:
     """Map a generator to its su(1,1) parameters.
 
     tau = beta + i(alpha - gamma)/2, sigma = -(alpha + gamma), and
-    delta_sq = beta^2 - alpha*gamma. Total on finite inputs.
+    delta_sq = beta^2 - alpha*gamma, with sigma and delta_sq read from
+    ``_flow``'s long-double lift. Total on finite inputs. ``_flow`` also
+    evaluates cosh/sinh, so outside an ``np.errstate`` that ignores
+    overflow this warns where they overflow, as ``normal_order`` does.
     """
-    # not ``_flow``: gc/gs are not needed here, and cosh warns where it overflows
-    a, b, c = _ONE * g.alpha, _ONE * g.beta, _ONE * g.gamma
+    a, _, c, x, _, _ = _flow(g)
     return SU11Params(
         tau=complex(g.beta, 0.5 * (g.alpha - g.gamma)),
         sigma=float(-(a + c)),
-        delta_sq=float(b * b - a * c),
+        delta_sq=float(x),
     )
 
 
@@ -133,12 +135,13 @@ def _flow(g: QuadraticGenerator):
     long double they measured within 0.5004 ulp of 50-digit mpmath at |x| <= 1.
 
     The last result is kept with its generator in one (g, flow) tuple, so
-    that ``normal_order``, ``abcd_from_generator`` and ``kernel_via_iwop``
-    on the same generator object lift it and call cosh/sinh once, and a
-    thread never pairs one generator with another's flow. The memo is keyed
-    by identity (``g is last``): an equal but distinct generator is lifted
-    again, to the same bits. A repeated call on the same object returns the
-    stored flow, so it emits no second numpy overflow warning.
+    that ``to_su11``, ``normal_order``, ``abcd_from_generator`` and
+    ``kernel_via_iwop`` on the same generator object lift it and call
+    cosh/sinh once, and a thread never pairs one generator with another's
+    flow. The memo is keyed by identity (``g is last``): an equal but
+    distinct generator is lifted again, to the same bits. A repeated call
+    on the same object returns the stored flow, so it emits no second numpy
+    overflow warning.
     """
     global _last_flow
     last, flow = _last_flow

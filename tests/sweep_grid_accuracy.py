@@ -2,10 +2,10 @@
 
 Builds the 80 schedules and packets of the ``evolve`` benchmark workload
 (``perfbench/workloads.py`` ``Evolve``, seeds 1-10, read only) and runs
-each through ``quadprop.oracle.grid_evolve`` on the CLI's default grid and
-``--steps``. Compares the result with the closed-form route that
-``quadprop evolve`` prints beside it, convolution of the composed kernel
-with the packet. Past a focal point that kernel has the wrong sign
+each through the two routes that ``quadprop evolve`` prints, on the CLI's
+default grid and ``--steps``: the grid oracle, compared with the
+convolution of the composed kernel with the packet. Past a focal point
+that kernel has the wrong sign
 (ROADMAP item 1): the closed form is taken times (-1)^n, n the schedule's
 focal crossings as the workload counts them. Prints the median and the
 largest L2 error; exits 1 if any error exceeds ``BOUND`` or is not finite.
@@ -28,9 +28,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from workloads import Evolve  # noqa: E402
 
 from quadprop import cli  # noqa: E402
-from quadprop.oracle import grid_evolve  # noqa: E402
-from quadprop.propagator import convolve, kernel_from_abcd  # noqa: E402
-from quadprop.symplectic import compose_schedule, load_schedule  # noqa: E402
 
 SEEDS = range(1, 11)
 BOUND = 1e-6  # largest L2 error allowed on any schedule
@@ -42,12 +39,11 @@ def main() -> int:
         for seed in SEEDS:
             workload = Evolve(seed, tmp)
             for op, (argv, crossings) in enumerate(zip(workload.argv, workload.crossings)):
-                # the CLI's own parsing builds the packet and the default grid
+                # the CLI's own parsing builds the packet and the default grid,
+                # and its own code runs both routes
                 args = cli.build_parser().parse_args(argv)
                 cli._prepare(args)
-                schedule = load_schedule(args.schedule)
-                state = convolve(kernel_from_abcd(compose_schedule(schedule)), args.packet)
-                grid = grid_evolve(schedule, args.grid0, steps=args.steps)
+                state, grid = cli._evolve_routes(args)
                 l2 = grid.distance((-1) ** crossings * state.evaluate(grid.x))
                 errors.append((l2, seed, op, crossings))
     values = np.array([e[0] for e in errors])

@@ -25,7 +25,7 @@ VERIFY_CHECKS = {
     "lie_core.unitarity": (3, "|s|^2 - |r|^2 = 1 over 10^4 generators", 1e-10),
     "lie_core.seam_continuity": (3, "(s, r) continuous through delta_sq = 0", 1e-7),
     "lie_core.fock_equivalence": (7, "truncated-Fock direct vs ordered product", 1e-6),
-    "symplectic.determinant": (4, "AD - BC = 1 over the same sample", 1e-10),
+    "symplectic.determinant": (4, "AD - BC = 1 over its own 10^4 + 300 generators", 1e-10),
     "symplectic.matrix_exp_oracle": (4, "flow matrix vs matrix-exponential oracle", 1e-10),
     "symplectic.sr_dictionary": (5, "factor dictionary matches generator route", 1e-10),
     "symplectic.dictionary_roundtrip": (5, "dictionary round trip", 1e-12),

@@ -440,14 +440,17 @@ def test_precision_loss_exit_code(exit_path, case):
 
 
 # JSON mode names the non-finite fields as text mode does, not in the JSON
-# encoder's words
-@pytest.mark.parametrize("case", [
-    pytest.param("kernel-json-nan", id="kernel"),
-    pytest.param("decompose-json-infinity", id="decompose"),
-    pytest.param("decompose-json-square-overflow", id="decompose-square-overflow"),
+# encoder's words: each JSON row exits with its text twin's code and line
+@pytest.mark.parametrize("case, twin", [
+    pytest.param("kernel-json-nan", "kernel-text-nan", id="kernel"),
+    pytest.param("decompose-json-infinity", "decompose-text-infinity", id="decompose"),
+    pytest.param("decompose-json-square-overflow", "decompose-text-square-overflow",
+                 id="decompose-square-overflow"),
 ])
-def test_json_mode_names_the_non_finite_fields(exit_path, case):
+def test_json_mode_names_the_non_finite_fields(exit_path, case, twin):
+    assert EXIT_PATHS[case][2:] == EXIT_PATHS[twin][2:]
     exit_path(case)
+    exit_path(twin)
 
 
 @pytest.mark.parametrize("case", _PATH_UNDER_A_FILE)

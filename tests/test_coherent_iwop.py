@@ -206,9 +206,12 @@ class TestGaussianIntegral:
             _embedded(m, np.zeros(2))
 
     def test_rejects_indefinite_real_part(self):
-        m = np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex)
-        with pytest.raises(NonConvergentError):
-            _integral(m, np.zeros(4))
+        # Re M = diag(1, ..., -1 at k, ..., 1) meets the sweep's check at pivot k
+        for k in range(4):
+            m = np.eye(4, dtype=complex)
+            m[k, k] = -1.0
+            with pytest.raises(NonConvergentError, match="not positive definite"):
+                _integral(m, np.zeros(4))
 
     def test_leaves_its_inputs_unchanged(self):
         rng = np.random.default_rng(5)

@@ -323,6 +323,11 @@ class TestGridEvolve:
         with pytest.raises(np.linalg.LinAlgError, match="zero or non-finite pivot"):
             grid_evolve([QuadraticGenerator(1.0, 0.0, 1.0)], grid, steps=2)
 
+    def test_rejects_zero_steps(self):
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
+        with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+            grid_evolve([QuadraticGenerator(1.0, 0.0, 0.0)], grid, steps=0)
+
     def test_nan_amplitude_rejected(self):
         grid = Grid.from_wavepacket(GaussianWavepacket(0.0, 1.0, 1.0), n_points=512)
         amplitudes = grid.amplitudes.copy()

@@ -298,6 +298,10 @@ class TestNamedGenerator:
             named_generator("harmonic", 1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
             named_generator("anharmonic", 1.0, 1.0, 1.0)
+        # a non-finite time meets its own guard, not the generator's
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^time must be finite, got {t!r}$"):
+                named_generator("free", 1.0, 0.0, t)
 
 
 # sha256 of the reprs, one a line, of test_one_point_evaluation's four kernels
@@ -406,9 +410,10 @@ SYMPLECTIC_NAN_MSG = "matrix is not symplectic: det-1 = nan"
     (lambda: kernel_from_sr(HUGE_FACTORS), UNITARY_NAN_MSG),
     (lambda: sr_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
     (lambda: kernel_from_abcd(OVERFLOWED), SYMPLECTIC_NAN_MSG),
+    (lambda: ComplexGaussian(0j, 0j, 1 + 0j), "Re(quad) must be negative, got 0.0"),
 ], ids=["abcd_from_sr", "kernel_from_sr", "sandwich", "sr_from_abcd", "kernel_from_abcd",
         "abcd_from_sr-nan", "sandwich-nan", "kernel_from_sr-overflow", "sr_from_abcd-nan",
-        "kernel_from_abcd-nan"])
+        "kernel_from_abcd-nan", "ComplexGaussian"])
 def test_invariant_guards_raise_plain_value_error(call, message):
     # The benchmark sorts these failures by exact type and message prefix.
     with pytest.raises(ValueError) as err:

@@ -3,10 +3,12 @@
 Two deliberately dumb routes that know nothing about the closed forms:
 
 * a truncated Fock space where the evolution operator is built both as
-  a single matrix exponential of the su(1,1) combination and as the
-  three-factor normal-ordered product (both by ``symplectic._expm``), so
-  the factorization parameters can be certified by direct matrix
-  comparison;
+  a single matrix exponential of the su(1,1) combination, read from the
+  generator's coefficients, and as the three-factor normal-ordered
+  product (both by ``symplectic._expm``), so the factorization parameters
+  can be certified by direct matrix comparison. ``lie_core.normal_order``,
+  which ``fock_unitary_ordered`` calls for the (s, r) under test, is the
+  one closed-form function this module reads;
 * a norm-preserving Crank-Nicolson grid solver for
   i dpsi/ds = (1/2)(alpha p^2 + beta (qp+pq) + gamma q^2) psi,
   one unit of flow parameter per schedule entry, validating kernels and
@@ -45,7 +47,7 @@ import numpy as np
 import scipy
 
 from .errors import MAX_GRID_STEPS, BoundaryLeakError, GridWorkLimitError
-from .lie_core import QuadraticGenerator, normal_order, to_su11
+from .lie_core import QuadraticGenerator, normal_order
 from .propagator import GaussianWavepacket
 from .symplectic import _expm
 
@@ -105,13 +107,14 @@ def _ladder() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def fock_unitary_direct(g: QuadraticGenerator) -> np.ndarray:
     """Single matrix exponential of tau K+ + i sigma K0 - tau* K- (truncated).
 
-    Computed by ``symplectic._expm`` on the lowest ``FOCK_DIM`` levels.
-    Trustworthy on levels well below ``FOCK_DIM`` for coefficient
+    tau = beta + i(alpha - gamma)/2 and sigma = -(alpha + gamma), in plain
+    doubles. Computed by ``symplectic._expm`` on the lowest ``FOCK_DIM``
+    levels. Trustworthy on levels well below ``FOCK_DIM`` for coefficient
     magnitudes up to ~1 (truncation-error regime).
     """
     _, k_plus, k_zero, k_minus = _ladder()
-    p = to_su11(g)
-    gen = p.tau * k_plus + 1j * p.sigma * k_zero - p.tau.conjugate() * k_minus
+    tau = complex(g.beta, 0.5 * (g.alpha - g.gamma))
+    gen = tau * k_plus - 1j * (g.alpha + g.gamma) * k_zero - tau.conjugate() * k_minus
     return _expm(gen)
 
 
@@ -274,9 +277,8 @@ def _hamiltonian_bands(g: QuadraticGenerator, x: np.ndarray, h: float):
         diag += 0.5 * g.gamma * x * x
         up1 = np.full(n - 1, -g.alpha / (1.5 * h * h), dtype=complex)
         up2 = np.full(n - 2, g.alpha / (24.0 * h * h), dtype=complex)
-        if g.beta != 0.0:
-            up1 -= 1j * g.beta * (x[:-1] + x[1:]) / (3.0 * h)
-            up2 += 1j * g.beta * (x[:-2] + x[2:]) / (24.0 * h)
+        up1 -= 1j * g.beta * (x[:-1] + x[1:]) / (3.0 * h)
+        up2 += 1j * g.beta * (x[:-2] + x[2:]) / (24.0 * h)
     if not (np.isfinite(diag).all() and np.isfinite(up1).all() and np.isfinite(up2).all()):
         raise ValueError("Hamiltonian bands must not contain infs or NaNs")
     return diag, up1, up2
@@ -327,7 +329,7 @@ def grid_evolve(g_schedule, psi0: Grid, steps: int) -> Grid:
     for g in g_schedule:
         norm = math.hypot(g.alpha, g.beta, g.gamma)
         n_e = math.ceil(min(per_unit * norm, MAX_GRID_STEPS + 1)) if norm else 1
-        plan.append((g, max(1, n_e)))
+        plan.append((g, n_e))
     if sum(n_e for _, n_e in plan) > MAX_GRID_STEPS:
         raise GridWorkLimitError(
             f"the schedule plans more than {MAX_GRID_STEPS} Pade steps at {steps} steps "

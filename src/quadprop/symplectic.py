@@ -83,7 +83,7 @@ def _expm(G: np.ndarray) -> np.ndarray:
     stack shares one squaring count, set by its largest infinity norm.
     """
     norm = np.abs(G).sum(axis=-1).max()
-    nsquare = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    nsquare = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
     S = G / 2.0**nsquare
     E = term = np.eye(G.shape[-1])
     for k in range(1, _EXP_TERMS + 1):
@@ -173,12 +173,13 @@ class ScheduleError(ValueError):
 def load_schedule(path) -> list[QuadraticGenerator]:
     """Parse a step-schedule file into an ordered list of generators.
 
-    One step per line as three whitespace-separated decimal literals
-    ``alpha beta gamma``; ``#`` starts a comment; blank lines are
-    skipped. Steps are listed in the order they are applied.
+    UTF-8 text, with or without a byte-order mark. One step per line as
+    three whitespace-separated decimal literals ``alpha beta gamma``;
+    ``#`` starts a comment; blank lines are skipped. Steps are listed in
+    the order they are applied.
     """
     steps = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()

@@ -22,7 +22,7 @@ QQ_GRID = [(q, Q) for q in np.linspace(-2.0, 2.0, 5) for Q in np.linspace(-2.0, 
 # Every check that `quadprop verify` prints, in its order, as
 # suite.check: (criterion, description, contract cap on its tolerance).
 VERIFY_CHECKS = {
-    "lie_core.unitarity": (3, "|s|^2 - |r|^2 = 1 over 10^4 generators", 1e-10),
+    "lie_core.unitarity": (3, "|s|^2 - |r|^2 = 1 over 10^4 + 300 generators", 1e-10),
     "lie_core.seam_continuity": (3, "(s, r) continuous through delta_sq = 0", 1e-7),
     "lie_core.fock_equivalence": (7, "truncated-Fock direct vs ordered product", 1e-6),
     "symplectic.determinant": (4, "AD - BC = 1 over its own 10^4 + 300 generators", 1e-10),
@@ -32,7 +32,7 @@ VERIFY_CHECKS = {
     "symplectic.composition_chain": (4, "AD - BC = 1 along 1000 composed steps", 1e-9),
     "propagator.dual_form": (6, "factor route = matrix route", 1e-10),
     "propagator.generating_roundtrip": (8, "matrix and classical map from W", 1e-10),
-    "propagator.kernel_group": (9, "kernel composition up to constant phase", 1e-8),
+    "propagator.kernel_group": (9, "kernel composition up to sign", 1e-8),
     "propagator.convolve_unitarity": (10, "kernel convolution conserves packet norm", 1e-10),
     "iwop.completeness": (6, "coherent-state completeness, d^2z/pi measure", 1e-4),
     "iwop.dual_route": (6, "coherent route = factor route", 1e-10),

@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from quadprop import oracle
+from quadprop import lie_core, oracle
 from quadprop.errors import MAX_GRID_STEPS, BoundaryLeakError, GridWorkLimitError
 from quadprop.lie_core import QuadraticGenerator, normal_order, to_su11
 from quadprop.oracle import (
@@ -24,7 +25,7 @@ from quadprop.propagator import (
     kernel_from_abcd,
     named_generator,
 )
-from quadprop.symplectic import _expm, abcd_from_generator, compose_schedule
+from quadprop.symplectic import _expm, abcd_from_generator, compose_schedule, matrix_exp_oracle
 from quadprop.verify import random_generators
 
 # the Pade (4,4) shifts, minus the roots of 1680 P(z) = z^4 + 20 z^3 +
@@ -145,6 +146,28 @@ class TestFockUnitaries:
                 assert np.abs(_expm(m)[:9, :9] - expm(m)[:9, :9]).max() <= 1e-12
             u = fock_unitary_direct(g)
             assert np.abs(u @ u.conj().T - np.eye(60)).max() <= 1e-12
+
+    def test_oracles_never_reach_the_flow(self, monkeypatch):
+        # the brute-force routes read only the generator: with the closed
+        # forms' long-double flow broken they return the same bits, and only
+        # the normal-ordered product, which needs (s, r), fails
+        schedule = [QuadraticGenerator(0.9, 0.2, 1.1), QuadraticGenerator(0.5, 0.0, -0.3)]
+        grid = Grid.from_wavepacket(GaussianWavepacket(0.3, -0.2, 1.0), -20.0, 20.0, 512)
+
+        def routes():
+            out = [fock_unitary_direct(g) for g in schedule]
+            out += [np.array(astuple(matrix_exp_oracle(g))) for g in schedule]
+            return out + [grid_evolve(schedule, grid, 2).amplitudes]
+
+        unpatched = routes()
+
+        def broken(g):
+            raise AssertionError("the flow was reached")
+
+        monkeypatch.setattr(lie_core, "_flow", broken)
+        assert [u.tobytes() for u in routes()] == [u.tobytes() for u in unpatched]
+        with pytest.raises(AssertionError, match="the flow was reached"):
+            fock_unitary_ordered(schedule[0])
 
     def test_vacuum_squeeze_amplitude(self):
         g = QuadraticGenerator(0.0, math.log(2.0), 0.0)

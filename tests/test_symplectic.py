@@ -224,6 +224,16 @@ class TestSchedule:
         with pytest.raises(ScheduleError, match="finite"):
             load_schedule(path)
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        # some editors start a UTF-8 file with U+FEFF; only there is it no data
+        plain, marked = tmp_path / "plain.sched", tmp_path / "marked.sched"
+        plain.write_bytes(b"1 0 1\n0.5 -0.25 2e-1\n")
+        marked.write_bytes(b"\xef\xbb\xbf1 0 1\n0.5 -0.25 2e-1\n")
+        assert load_schedule(marked) == load_schedule(plain)
+        marked.write_bytes(b"1 0 1\n\xef\xbb\xbf0.5 -0.25 2e-1\n")
+        with pytest.raises(ScheduleError, match=f"^{re.escape(str(marked))}:2: "):
+            load_schedule(marked)
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.sched"
         path.write_bytes(b"1.0 0.0 0.0\n# \xe9tape\n")

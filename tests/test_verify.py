@@ -1,13 +1,15 @@
 """Tests for the aggregated invariant suites behind `quadprop verify`."""
 
+import cmath
 import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from quadprop import cli, coherent_iwop, verify
+from quadprop import cli, coherent_iwop, propagator, verify
 from test_acceptance import VERIFY_CHECKS
 
 
@@ -72,6 +74,23 @@ def test_fault_in_the_matrix_element_trips_both_routes(monkeypatch):
     suite = verify.iwop_suite(np.random.default_rng(verify.DEFAULT_SEED))
     assert suite["checks"]["dual_route"]["pass"] is False
     assert suite["checks"]["sandwich_fock"]["pass"] is False
+
+
+def test_phase_fault_trips_kernel_group(monkeypatch):
+    # a constant phase e^{i 1e-7} on every matrix-route kernel leaves the
+    # moduli and the exponent alone; the composed prefactor carries it twice
+    # and the direct one once, so the squared ratio is off by 2e-7
+    real = propagator.kernel_from_abcd
+
+    def turned(m):
+        k = real(m)
+        return replace(k, prefactor=k.prefactor * cmath.exp(1e-7j))
+
+    monkeypatch.setattr(propagator, "kernel_from_abcd", turned)
+    suite = verify.propagator_suite(np.random.default_rng(verify.DEFAULT_SEED + 2))
+    check = suite["checks"]["kernel_group"]
+    assert check["pass"] is False
+    assert check["residual"] == pytest.approx(2e-7, rel=1e-3)
 
 
 def test_nan_residual_fails_its_check(monkeypatch, capsys):

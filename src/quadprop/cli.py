@@ -100,7 +100,7 @@ def cmd_decompose(args) -> int:
     f = normal_order(g)
     m = abcd_from_generator(g)
     res_u = f.unitarity_residual()
-    res_s = m.det() - 1.0
+    res_s = m.symplectic_residual()
     rows = [
         ("tau", p.tau), ("sigma", p.sigma), ("delta_sq", p.delta_sq),
         ("s", f.s), ("r", f.r), ("A", m.a), ("B", m.b), ("C", m.c), ("D", m.d),
@@ -116,20 +116,14 @@ def cmd_decompose(args) -> int:
 def cmd_kernel(args) -> int:
     g = args.generator
     value = kernel_from_abcd(abcd_from_generator(g)).evaluate(args.q, args.Q)
-    diff = None
+    checks = []
     if args.check:
-        diff = abs(value - kernel_via_iwop(g, args.q, args.Q))
-    _require_finite([("kernel", value), ("check_diff", diff)])
+        checks.append(("check_diff", abs(value - kernel_via_iwop(g, args.q, args.Q))))
+    _require_finite([("kernel", value), *checks])
     if args.json:
-        payload = {"re": value.real, "im": value.imag}
-        if diff is not None:
-            payload["check_diff"] = diff
-        _emit(args, [_json_dump(payload)])
+        _report(args, [("re", value.real), ("im", value.imag), *checks])
     else:
-        lines = [_fmt_value(value)]
-        if diff is not None:
-            lines.append(f"check_diff = {_fmt(diff)}")
-        _emit(args, ["\n".join(lines) + "\n"])
+        _emit(args, [f"{_fmt_value(value)}\n", *(f"{n} = {_fmt(v)}\n" for n, v in checks)])
     return EXIT_OK
 
 
@@ -176,8 +170,8 @@ def cmd_compose(args) -> int:
     total = compose_schedule(schedule)
     f = sr_from_abcd(total)
     rows = [
-        ("steps", len(schedule)), ("A", total.a), ("B", total.b), ("C", total.c),
-        ("D", total.d), ("s", f.s), ("r", f.r), ("residual_symplectic", total.det() - 1.0),
+        ("steps", len(schedule)), ("A", total.a), ("B", total.b), ("C", total.c), ("D", total.d),
+        ("s", f.s), ("r", f.r), ("residual_symplectic", total.symplectic_residual()),
     ]
     _require_finite(rows)
     _report(args, rows)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_invariant
+
 __all__ = [
     "QuadraticGenerator",
     "SU11Params",
@@ -31,10 +33,6 @@ __all__ = [
 # Multiplying by this lifts a float to longdouble exactly, about ten times
 # faster than calling the np.longdouble constructor.
 _ONE = np.longdouble(1)
-
-# Largest |s|^2 - |r|^2 - 1 (and AD - BC - 1 of an ABCD matrix) accepted as
-# a unitary (symplectic) map by the dictionaries and the kernel builders.
-INVARIANT_TOL = 1e-8
 
 # (generator, flow) of the last ``_flow`` call; see its docstring.
 _last_flow = (None, None)
@@ -104,9 +102,7 @@ class NormalOrderFactors:
 
     def require_unitary(self) -> None:
         """Raise ValueError unless ||s|^2 - |r|^2 - 1| <= INVARIANT_TOL (NaN fails)."""
-        res = self.unitarity_residual()
-        if not abs(res) <= INVARIANT_TOL:
-            raise ValueError(f"factors are not unitary: |s|^2-|r|^2-1 = {res:.3e}")
+        require_invariant(self.unitarity_residual(), "factors are not unitary: |s|^2-|r|^2-1")
 
 
 def to_su11(g: QuadraticGenerator) -> SU11Params:

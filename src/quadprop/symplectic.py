@@ -11,11 +11,13 @@ file format used by the CLI for piecewise-constant time dependence.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import INVARIANT_TOL, NormalOrderFactors, QuadraticGenerator, _flow
+from .errors import require_invariant
+from .lie_core import NormalOrderFactors, QuadraticGenerator, _flow
 
 __all__ = [
     "AbcdMatrix",
@@ -42,14 +44,13 @@ class AbcdMatrix:
     c: float
     d: float
 
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
+    def symplectic_residual(self) -> float:
+        """AD - BC - 1, zero for a symplectic map."""
+        return self.a * self.d - self.b * self.c - 1.0
 
     def require_symplectic(self) -> None:
         """Raise ValueError unless |AD - BC - 1| <= INVARIANT_TOL (NaN fails)."""
-        res = self.det() - 1.0
-        if not abs(res) <= INVARIANT_TOL:
-            raise ValueError(f"matrix is not symplectic: det-1 = {res:.3e}")
+        require_invariant(self.symplectic_residual(), "matrix is not symplectic: det-1")
 
     def apply(self, q: float, p: float) -> tuple[float, float]:
         """Map a phase-space point: (Q, P) = (aq + bp, cq + dp)."""
@@ -178,23 +179,26 @@ def load_schedule(path) -> list[QuadraticGenerator]:
     ``#`` starts a comment; blank lines are skipped. Steps are listed in
     the order they are applied.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # one decode of the whole file, so that an error names its byte offset
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ScheduleError(f"{path}: not UTF-8 text: {exc}") from exc
     steps = []
-    with open(path, encoding="utf-8-sig") as fh:
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ScheduleError(
+                f"{path}:{lineno}: expected 'alpha beta gamma', got {raw.strip()!r}"
+            )
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ScheduleError(
-                        f"{path}:{lineno}: expected 'alpha beta gamma', got {raw.strip()!r}"
-                    )
-                try:
-                    alpha, beta, gamma = (float(p) for p in parts)
-                    steps.append(QuadraticGenerator(alpha, beta, gamma))
-                except ValueError as exc:
-                    raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ScheduleError(f"{path}: not UTF-8 text: {exc}") from exc
+            alpha, beta, gamma = (float(p) for p in parts)
+            steps.append(QuadraticGenerator(alpha, beta, gamma))
+        except ValueError as exc:
+            raise ScheduleError(f"{path}:{lineno}: {exc}") from exc
     return steps

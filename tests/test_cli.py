@@ -17,8 +17,8 @@ import quadprop
 from quadprop import _csvtext, cli, oracle
 from quadprop.errors import MAX_GRID_STEPS
 
-# The exact reports of `decompose -1.5 0.25 0.75`, of `kernel -1.5 0.25 0.75 0.3 -0.7
-# --check` and of compose on COMPOSE_SCHEDULE.
+# The exact reports of `decompose -1.5 0.25 0.75`, of `kernel -1.5 0.25 0.75 0.3 -0.7`
+# with and without --check and of compose on COMPOSE_SCHEDULE.
 DECOMPOSE_TEXT = """\
 tau                 = 2.500000000000e-01 -1.125000000000e+00
 sigma               = 7.500000000000e-01
@@ -47,6 +47,8 @@ check_diff = 6.206335383118e-17
 """
 KERNEL_JSON = {"check_diff": 6.206335383118183e-17, "im": 0.12575870617700652,
                "re": 0.2680914099838406}
+KERNEL_NO_CHECK_TEXT = "2.680914099838e-01 1.257587061770e-01\n"
+KERNEL_NO_CHECK_JSON = {"im": 0.12575870617700652, "re": 0.2680914099838406}
 COMPOSE_SCHEDULE = "0.5 0.1 0.3\n-0.2 0.4 1.1\n"
 COMPOSE_TEXT = """\
 steps               = 2
@@ -69,6 +71,8 @@ COMPOSE_JSON = {
 PINNED = {
     "decompose": ("decompose -1.5 0.25 0.75", None, DECOMPOSE_TEXT, DECOMPOSE_JSON),
     "kernel": ("kernel -1.5 0.25 0.75 0.3 -0.7 --check", None, KERNEL_TEXT, KERNEL_JSON),
+    "kernel-no-check": ("kernel -1.5 0.25 0.75 0.3 -0.7", None, KERNEL_NO_CHECK_TEXT,
+                        KERNEL_NO_CHECK_JSON),
     "compose": ("compose {schedule}", COMPOSE_SCHEDULE, COMPOSE_TEXT, COMPOSE_JSON),
 }
 # the two-entry reference schedule of the evolve accuracy tests
@@ -311,6 +315,7 @@ class TestKernel:
 
     def test_byte_identical_reruns(self, pinned):
         pinned("kernel")
+        pinned("kernel-no-check")
 
 
 class TestEvolve:

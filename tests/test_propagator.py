@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from quadprop import errors
 from quadprop.coherent_iwop import CoherentLabel, kernel_via_iwop, sandwich
 from quadprop.errors import FocalPointError, NonConvergentError
 from quadprop.lie_core import NormalOrderFactors, QuadraticGenerator, normal_order
@@ -420,3 +421,13 @@ def test_invariant_guards_raise_plain_value_error(call, message):
         call()
     assert type(err.value) is ValueError
     assert str(err.value) == message
+
+
+def test_one_tolerance_moves_both_guards(monkeypatch):
+    # the unitary and the symplectic guard read the same errors.INVARIANT_TOL
+    monkeypatch.setattr(errors, "INVARIANT_TOL", 2.0)
+    assert sr_from_abcd(NOT_SYMPLECTIC) == NormalOrderFactors(1.5 + 0.5j, -0.5 - 0.5j)
+    assert cmath.isfinite(kernel_from_abcd(NOT_SYMPLECTIC).evaluate(0.0, 1.0))
+    with pytest.raises(ValueError) as err:
+        abcd_from_sr(NOT_UNITARY)
+    assert str(err.value) == UNITARY_MSG
